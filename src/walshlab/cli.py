@@ -1,8 +1,10 @@
 """Command line front end: `lpr <subcommand> [flags]`.
 
-Exit code 0 iff every asserted bound in the run passed.  All reports embed
-the fully resolved config; writing the same config twice yields identical
-output apart from the timestamp field.
+Exit code 0 iff every asserted bound in the run passed, 1 when one failed,
+and 2 for input that is refused (a usage error or a ValueError from the
+library, reported as one line on stderr).  All reports embed the fully
+resolved config; writing the same config twice yields identical output
+apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .experiments import (
     write_report,
 )
 
-RATIO_COMMANDS = ("scalar", "vector", "pointwise", "lemma", "weak11", "adjoint")
+RATIO_COMMANDS = tuple(RUNNERS)
 
 
 def _default_seed() -> int:
@@ -97,7 +99,15 @@ def _emit_object(report: dict, out: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        message = " ".join(str(exc).split())
+        print(f"lpr {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "decompose":
         report = decompose_report(args.a, args.b)
         _emit_object(report, args.out)

@@ -38,11 +38,10 @@ from .walsh import (
     DyadicCell,
     DyadicFunction,
     ResolutionError,
-    analyze_values,
-    synthesize_values,
-    walsh_eval,
+    column_chunks,
+    project_columns,
 )
-from .operators import _levels_mask
+from .operators import _modulation_columns
 
 EXACT_SIGN_LIMIT = 20
 _SIGN_CHUNK = 1 << 12
@@ -271,13 +270,17 @@ def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
     return float((f.values * g.values).sum(axis=1).mean())
 
 
-def _masked_blocks(values: np.ndarray, levels, resolution: int) -> np.ndarray:
-    """Keep the coefficient blocks of the given levels plus level 0."""
-    mask = _levels_mask(levels, resolution)
-    mask[0] = True
-    coeffs = analyze_values(values)
-    coeffs[~mask] = 0.0
-    return synthesize_values(coeffs)
+def _segment_columns(decomps: Sequence[Decomposition], resolution: int, ndim: int):
+    """Anchor functions and kept index ranges of a chunk of decompositions.
+
+    The anchor functions are shaped (cells, s, 1, ...) with `ndim` axes, to
+    broadcast over a stack of components; the ranges keep level 0 plus each
+    decomposition's left-piece levels.
+    """
+    w, ranges = _modulation_columns(
+        [d.anchor for d in decomps], [d.left_levels for d in decomps], resolution
+    )
+    return w.reshape(w.shape + (1,) * (ndim - 2)), [[(0, 1)] + r for r in ranges]
 
 
 def segment_transform(
@@ -290,11 +293,30 @@ def segment_transform(
     is the spectral projection of f onto the segment {a_s} u (left pieces).
     """
     out = []
-    for dec in decomps:
-        w = walsh_eval(dec.anchor, f.resolution).values[:, None]
-        vals = _masked_blocks(w * f.values, dec.left_levels, f.resolution)
-        out.append(LatticeFunction(f.resolution, vals, f.q))
+    for sl in column_chunks(len(decomps), f.values.size):
+        w, ranges = _segment_columns(decomps[sl], f.resolution, 3)
+        (comps,) = project_columns(w * f.values[:, None, :], [ranges])
+        out.extend(
+            LatticeFunction(f.resolution, comps[:, s], f.q) for s in range(comps.shape[1])
+        )
     return out
+
+
+def _adjoint_of_stack(
+    stacked: np.ndarray, decomps: Sequence[Decomposition], resolution: int
+) -> np.ndarray:
+    """Adjoint transform of a (cells, S, ...) component stack; returns (cells, ...).
+
+    Trailing axes are transformed independently, so several families can be
+    recombined in one pass; the terms add up in component order.
+    """
+    acc = np.zeros(stacked.shape[:1] + stacked.shape[2:])
+    for sl in column_chunks(len(decomps), acc.size):
+        w, ranges = _segment_columns(decomps[sl], resolution, stacked.ndim)
+        (blocks,) = project_columns(stacked[:, sl], [ranges])
+        for s in range(blocks.shape[1]):
+            acc = acc + w[:, s] * blocks[:, s]
+    return acc
 
 
 def segment_transform_adjoint(
@@ -311,12 +333,12 @@ def segment_transform_adjoint(
             f"{len(components)} components for {len(decomps)} decompositions"
         )
     first = components[0]
-    acc = np.zeros_like(first.values)
-    for g, dec in zip(components, decomps):
+    for g in components[1:]:
         first._check_compatible(g)
-        w = walsh_eval(dec.anchor, g.resolution).values[:, None]
-        acc = acc + w * _masked_blocks(g.values, dec.left_levels, g.resolution)
-    return LatticeFunction(first.resolution, acc, first.q)
+    stacked = np.stack([g.values for g in components], axis=1)
+    return LatticeFunction(
+        first.resolution, _adjoint_of_stack(stacked, decomps, first.resolution), first.q
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .intervals import Decomposition
 from .walsh import (
     DyadicFunction,
     ResolutionError,
-    analyze_values,
-    synthesize_values,
+    column_chunks,
+    project_columns,
     walsh_eval,
 )
 
@@ -68,14 +68,38 @@ class SeqFunction:
         return DyadicFunction(self.resolution, np.sqrt((self.values**2).sum(axis=0)))
 
 
-def _levels_mask(levels: Iterable[int], resolution: int) -> np.ndarray:
-    mask = np.zeros(1 << resolution, dtype=bool)
+def _level_ranges(levels: Iterable[int], resolution: int) -> list[tuple[int, int]]:
+    """Coefficient index ranges of the blocks of the given levels."""
+    ranges = []
     for j in levels:
         if j > resolution:
             raise ResolutionError(f"level {j} exceeds resolution {resolution}")
         blk = delta_block(j)
-        mask[blk.lo : blk.hi] = True
-    return mask
+        ranges.append((blk.lo, blk.hi))
+    return ranges
+
+
+def _modulation_columns(
+    anchors: Sequence[int], levels: Sequence[Iterable[int]], resolution: int
+) -> tuple[np.ndarray, list]:
+    """(cells, S) Walsh functions w_a and, per column, the ranges of the levels."""
+    ranges = [_level_ranges(lv, resolution) for lv in levels]
+    w = np.stack([walsh_eval(a, resolution).values for a in anchors], axis=1)
+    return w, ranges
+
+
+def _block_sums(
+    values: np.ndarray, anchors: Sequence[int], levels: Sequence[Iterable[int]]
+) -> np.ndarray:
+    """(S, cells) block sums of one grid function, batched within the budget."""
+    resolution = int(values.shape[0]).bit_length() - 1
+    out = np.zeros((len(anchors), values.shape[0]))
+    for sl in column_chunks(len(anchors), values.shape[0]):
+        modulated, ranges = _modulation_columns(anchors[sl], levels[sl], resolution)
+        modulated *= values[:, None]
+        (sums,) = project_columns(modulated, [ranges])
+        out[sl] = sums.T
+    return out
 
 
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:
@@ -85,11 +109,7 @@ def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunctio
     the requested levels.  Multiplying the result by w_a again gives the
     spectral projection of f onto the union of the translated blocks.
     """
-    mask = _levels_mask(levels, f.resolution)
-    modulated = walsh_eval(a, f.resolution).values * f.values
-    coeffs = analyze_values(modulated)
-    coeffs[~mask] = 0.0
-    return DyadicFunction(f.resolution, synthesize_values(coeffs))
+    return DyadicFunction(f.resolution, _block_sums(f.values, [a], [levels])[0])
 
 
 def block_sum_family(
@@ -99,8 +119,9 @@ def block_sum_family(
 
     Every component integrates to zero since left levels are >= 1.
     """
-    rows = [block_sum(f, dec.anchor, dec.left_levels).values for dec in decomps]
-    return SeqFunction(f.resolution, np.stack(rows) if rows else np.zeros((0, f.size)))
+    anchors = [dec.anchor for dec in decomps]
+    levels = [dec.left_levels for dec in decomps]
+    return SeqFunction(f.resolution, _block_sums(f.values, anchors, levels))
 
 
 def _level_stats(values: np.ndarray, resolution: int):

@@ -108,3 +108,31 @@ def test_adjoint_subcommand(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scalar", "--trials", "0"),
+        ("scalar", "--p", "inf"),
+        ("scalar", "--p", "nan"),
+        ("decompose", "--a", "5", "--b", "5"),
+        ("czd", "--lambda", "-1"),
+        ("vector", "--rad", "mc:0", "--resolution", "4", "--trials", "2"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith(f"lpr {argv[0]}: error: ")
+
+
+def test_ratio_commands_match_runners():
+    from walshlab.cli import RATIO_COMMANDS
+    from walshlab.experiments import RUNNERS
+
+    assert RATIO_COMMANDS == tuple(RUNNERS)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from walshlab.dyadic import IntInterval
 from walshlab.experiments import (
+    MAX_RESOLUTION,
     ExperimentConfig,
     random_function,
     random_interval_family,
@@ -348,3 +350,100 @@ def test_czd_report():
     assert report["config"]["lam"] == 1.5
     with pytest.raises(ValueError):
         czd_report(resolution=6, dim=2, q=2.0, lam=0.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# validation and NaN-proof verdicts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"trials": 0},
+        {"p": 0.5},
+        {"p": float("inf")},
+        {"p": float("nan")},
+        {"q": 0.5},
+        {"q": float("nan")},
+        {"count": 0},
+        {"dim": 0},
+        {"components": 0},
+        {"resolution": -1},
+        {"resolution": MAX_RESOLUTION + 1},
+    ],
+)
+def test_config_rejects_out_of_range(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig(kind="scalar", **bad)
+
+
+def test_config_admits_the_largest_benchmarked_grid():
+    assert MAX_RESOLUTION >= 18
+    ExperimentConfig(kind="scalar", resolution=18, q=float("inf"))
+
+
+def _poison(generator, trial):
+    """Wrap a seeded generator so that one trial's first cell value is NaN."""
+
+    def poisoned(seed, *args):
+        out = generator(seed, *args)
+        if tuple(seed)[1] != trial:
+            return out
+        values = out.values.copy()
+        values[0] = np.nan
+        return dataclasses.replace(out, values=values)
+
+    return poisoned
+
+
+NAN_CASES = {
+    "scalar": (dict(p=4.0), "random_function"),
+    "pointwise": (dict(), "random_function"),
+    "vector": (dict(p=2.0, q=2.0, dim=2), "random_lattice_function"),
+    "lemma": (dict(p=2.0, q=2.0, dim=1), "random_lattice_function"),
+    "weak11": (dict(dim=2, count=3), "random_lattice_function"),
+    "adjoint": (dict(dim=2, count=3), "random_lattice_function"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_CASES))
+def test_one_nan_trial_fails_the_run(monkeypatch, kind):
+    import walshlab.experiments as ex
+
+    extra, generator = NAN_CASES[kind]
+    monkeypatch.setattr(ex, generator, _poison(getattr(ex, generator), 7))
+    cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3, **extra)
+    report = ex.RUNNERS[kind](cfg)
+    assert not report.passed
+    assert report.summary["asserted"]
+    assert all(not a["passed"] for a in report.summary["asserted"])
+
+
+def test_nan_lhs_alone_fails_scalar(monkeypatch):
+    # the square-function side turns NaN while the L^p norm stays finite
+    import walshlab.experiments as ex
+
+    original = ex._sq_sum_of_projections
+
+    def poisoned(values, intervals):
+        out = original(values, intervals)
+        out[:, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(ex, "_sq_sum_of_projections", poisoned)
+    report = run_scalar_lpr(ExperimentConfig(kind="scalar", resolution=5, trials=10, p=4))
+    assert np.isnan(report.trials[2]["lhs"]) and np.isfinite(report.trials[2]["rhs"])
+    assert not report.passed
+    assert np.isnan(report.summary["asserted"][0]["worst"])
+
+
+def test_nan_denominator_stays_nan():
+    from walshlab.experiments import _ratio, _worst
+
+    assert np.isnan(_ratio(1.0, float("nan")))
+    assert np.isnan(_ratio(float("nan"), 0.0))
+    assert _ratio(1.0, 0.0) == 0.0
+    assert np.isnan(_worst([0.5, float("nan"), 2.0]))
+    assert _worst([0.5, 2.0]) == 2.0
+    assert _worst([], -np.inf) == -np.inf
