@@ -8,21 +8,28 @@ calls (`project`, `block_sum`, `analyze_values` / `synthesize_values`), and
 the serialized reports must agree byte for byte.  Every case runs at the
 default column budget and at a budget of three columns, so chunks end
 part-way through the trials, the intervals and the heights.
+
+The exhaustive pointwise basis sweep, which enumerates its interval
+families as budgeted arrays, is compared in the same way with a
+one-family-at-a-time depth-first recursion, spot-checked families included.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
 
 from walshlab import experiments as ex
 from walshlab import walsh
-from walshlab.dyadic import delta_block
+from walshlab.dyadic import IntInterval, delta_block
 from walshlab.experiments import (
     ExperimentConfig,
     random_function,
     random_lattice_function,
     report_json_lines,
 )
-from walshlab.intervals import family_decompose
+from walshlab.intervals import decompose, family_decompose
 from walshlab.lattice import (
     LatticeFunction,
     duality_pairing,
@@ -32,7 +39,13 @@ from walshlab.lattice import (
     split_at_cells,
     stopping_cells,
 )
-from walshlab.operators import SeqFunction, block_sum, rms_maximal, sharp_maximal
+from walshlab.operators import (
+    SeqFunction,
+    block_sum,
+    block_sum_family,
+    rms_maximal,
+    sharp_maximal,
+)
 from walshlab.walsh import (
     DyadicFunction,
     analyze_values,
@@ -265,6 +278,90 @@ def reference_adjoint(cfg):
     return ex._finish(cfg, trials, summary, asserted)
 
 
+def reference_basis_sweep(resolution, max_intervals, spot_checks, seed):
+    """The pointwise basis sweep one family at a time, by depth-first recursion.
+
+    Returns the report and the spot-checked families as (a, b) tuples.
+    """
+    n = 1 << resolution
+    ivs = [(a, b) for b in range(1, n + 1) for a in range(b)]
+    capture = {}
+    for a, b in ivs:
+        levels = set(decompose(a, b).left_levels)
+        row = np.full(n, -1, dtype=np.int64)
+        for nn in range(n):
+            m = a ^ nn
+            if m.bit_length() in levels:
+                row[nn] = m
+        capture[(a, b)] = row
+    sharp_tab = np.zeros(n + 1)
+    for m in range(n):
+        g = SeqFunction.from_components([walsh_eval(m, resolution)])
+        sharp_tab[m + 1] = float(sharp_maximal(g).values.max())
+    by_start = [[] for _ in range(n + 1)]
+    for a, b in ivs:
+        by_start[a].append((a, b))
+    starts_from = [
+        [iv for lo in range(s, n + 1) for iv in by_start[lo]] for s in range(n + 1)
+    ]
+
+    families = 0
+    worst = 0.0
+    sampled = []
+    rng = ex.rng_for((seed, 99))
+
+    def visit(rows, family):
+        nonlocal families, worst
+        families += 1
+        stacked = np.stack(rows)
+        assert int((stacked >= 0).sum(axis=0).max()) <= 1
+        worst = max(worst, float(sharp_tab[stacked.max(axis=0) + 1].max()))
+        if rng.random() < spot_checks / 1.7e6:
+            sampled.append(tuple(family))
+
+    def extend(family, rows, min_start, depth):
+        for a, b in starts_from[min_start]:
+            fam = family + [(a, b)]
+            rs = rows + [capture[(a, b)]]
+            visit(rs, fam)
+            if depth + 1 < max_intervals:
+                extend(fam, rs, b, depth + 1)
+
+    extend([], [], 0, 0)
+    for _ in range(min(spot_checks, 50) - len(sampled)):
+        k = int(rng.integers(1, max_intervals + 1))
+        fam, start = [], 0
+        for _ in range(k):
+            room = starts_from[start]
+            if not room:
+                break
+            a, b = room[int(rng.integers(0, len(room)))]
+            fam.append((a, b))
+            start = b
+        if fam:
+            sampled.append(tuple(fam))
+    spot_excess = []
+    for fam in sampled:
+        decs = family_decompose([IntInterval(a, b) for a, b in fam])
+        nn = int(rng.integers(0, n))
+        f = walsh_eval(nn, resolution)
+        sharp = sharp_maximal(block_sum_family(f, decs)).values
+        spot_excess.append(float((sharp - rms_maximal(f).values).max()))
+        table_value = sharp_tab[int(np.stack([capture[iv] for iv in fam])[:, nn].max()) + 1]
+        assert abs(float(sharp.max()) - table_value) <= 1e-12
+    spot_worst = max([0.0] + spot_excess)
+    report = {
+        "config": {"resolution": resolution, "max_intervals": max_intervals, "seed": seed},
+        "families": families,
+        "basis_functions": n,
+        "max_ratio": worst,
+        "spot_checks": len(sampled),
+        "spot_worst_excess": spot_worst,
+        "passed": worst <= 1.0 + ex.ASSERT_TOL and spot_worst <= ex.ASSERT_TOL,
+    }
+    return report, sampled
+
+
 def _same_report(cfg, reference):
     batched = report_json_lines(ex.RUNNERS[cfg.kind](cfg), timestamp="")
     assert batched == report_json_lines(reference(cfg), timestamp="")
@@ -337,3 +434,52 @@ def test_large_grid_streams_one_column():
             probes=False,
         )
         _same_report(cfg, reference)
+
+
+# (resolution, max_intervals, spot_checks, seed); 3,000 and 5,000 spot checks
+# sample ranks across the whole family tree, 200 leave it to the top-up draws.
+# The draw rate keeps the original fixed 1.7e6 family scale: an exact count
+# would change `spot_checks` in every recorded sweep report.
+SWEEPS = [
+    (3, 2, 3000, 0),
+    (3, 3, 3000, 0),
+    (4, 2, 3000, 0),
+    (4, 3, 3000, 0),
+    (4, 4, 3000, 0),
+    (5, 2, 200, 0),
+    (5, 2, 200, 17),
+    (5, 2, 5000, 0),
+]
+
+
+def _same_sweep(monkeypatch, resolution, max_intervals, spot_checks, seed):
+    checked = []
+
+    def recording(intervals):
+        checked.append(tuple((iv.lo, iv.hi) for iv in intervals))
+        return family_decompose(intervals)
+
+    monkeypatch.setattr(ex, "family_decompose", recording)
+    report = ex.exhaustive_pointwise_basis_check(
+        resolution, max_intervals, spot_checks=spot_checks, seed=seed
+    )
+    expected, sampled = reference_basis_sweep(resolution, max_intervals, spot_checks, seed)
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert checked == sampled
+    n = 1 << resolution
+    assert report["families"] == sum(
+        math.comb(n + k, 2 * k) for k in range(1, max_intervals + 1)
+    )
+
+
+@pytest.mark.parametrize("resolution, max_intervals, spot_checks, seed", SWEEPS)
+def test_basis_sweep_matches_recursion(monkeypatch, resolution, max_intervals, spot_checks, seed):
+    _same_sweep(monkeypatch, resolution, max_intervals, spot_checks, seed)
+
+
+@pytest.mark.parametrize("resolution, max_intervals, spot_checks, seed", SWEEPS[:4])
+def test_basis_sweep_in_small_chunks(monkeypatch, resolution, max_intervals, spot_checks, seed):
+    # three families a chunk at depth one, then one: chunks end part-way
+    # through a parent's children and through the spot-check draw blocks
+    monkeypatch.setattr(walsh, "COLUMN_BUDGET", 3 << resolution)
+    _same_sweep(monkeypatch, resolution, max_intervals, spot_checks, seed)

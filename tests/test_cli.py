@@ -119,6 +119,9 @@ def test_unknown_command_rejected():
         ("decompose", "--a", "5", "--b", "5"),
         ("czd", "--lambda", "-1"),
         ("vector", "--rad", "mc:0", "--resolution", "4", "--trials", "2"),
+        ("verify-identities", "--trials", "0", "--resolution", "4"),
+        ("verify-identities", "--resolution", "21"),
+        ("czd", "--lambda", "1", "--resolution", "21"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

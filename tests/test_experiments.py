@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -22,8 +24,9 @@ from walshlab.experiments import (
     verify_identities,
     czd_report,
     decompose_report,
+    exhaustive_pointwise_basis_check,
 )
-from walshlab.walsh import analyze_values
+from walshlab.walsh import analyze_values, walsh_eval
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +330,17 @@ def test_report_formats():
     assert "config.seed" in header and "summary.max" in header
 
 
+def test_report_csv_quotes_values():
+    report = run_scalar_lpr(ExperimentConfig(kind="scalar", resolution=4, trials=3))
+    header, values = report_csv(report, timestamp="T").rstrip("\n").split("\n")
+    assert values.split(",")[-1] == "T"  # nothing here needs quoting
+
+    report.config["family"] = 'a,"b"'
+    rows = list(csv.reader(io.StringIO(report_csv(report, timestamp="T"))))
+    assert rows[0] == header.split(",")
+    assert dict(zip(*rows))["config.family"] == 'a,"b"'
+
+
 def test_verify_identities_report():
     report = verify_identities(resolution=6, trials=10, seed=3)
     assert report["passed"]
@@ -447,3 +461,28 @@ def test_nan_denominator_stays_nan():
     assert np.isnan(_worst([0.5, float("nan"), 2.0]))
     assert _worst([0.5, 2.0]) == 2.0
     assert _worst([], -np.inf) == -np.inf
+
+
+def test_nan_table_value_fails_the_basis_sweep(monkeypatch):
+    import walshlab.experiments as ex
+
+    real = ex.sharp_maximal
+    poisoned_input = walsh_eval(5, 3).values
+    poisoned = []
+
+    def sharp_maximal(g):
+        # the first call on this basis function builds its table entry; the
+        # spot checks through the pipeline stay finite
+        out = real(g)
+        if not poisoned and np.array_equal(g.values, [poisoned_input]):
+            poisoned.append(True)
+            return dataclasses.replace(out, values=np.full_like(out.values, np.nan))
+        return out
+
+    monkeypatch.setattr(ex, "sharp_maximal", sharp_maximal)
+    try:
+        report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
+    except RuntimeError:
+        return
+    assert poisoned
+    assert report["passed"] is False
