@@ -64,20 +64,24 @@ class IntInterval:
         return self.lo < other.hi and other.lo < self.hi
 
 
+_BLOCKS = (IntInterval(0, 1),) + tuple(
+    IntInterval(1 << (k - 1), 1 << k) for k in range(1, MAX_INDEX_BITS)
+)
+
+
 def delta_block(k: int) -> IntInterval:
     """Index block of generation k: {0} for k = 0, [2**(k-1), 2**k) for k >= 1.
 
     Distinct blocks are disjoint and the blocks of generations 0..K tile
     [0, 2**K).  Block k is the spectral support of the k-th martingale
-    difference.
+    difference.  The blocks are built once; an `IntInterval` is frozen, so
+    every caller can share them.
     """
     if k < 0:
         raise ValueError(f"block level must be nonnegative, got {k}")
     if k >= MAX_INDEX_BITS:
         raise ValueError(f"block level {k} exceeds the {MAX_INDEX_BITS}-bit limit")
-    if k == 0:
-        return IntInterval(0, 1)
-    return IntInterval(1 << (k - 1), 1 << k)
+    return _BLOCKS[k]
 
 
 def block_level(n: int) -> int:

@@ -666,6 +666,16 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     _check_resolution(resolution)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # Each trial draws 1..max_count disjoint intervals.  Their 2 * count
+    # endpoints are distinct points of [0, 2**resolution], which holds for
+    # every draw once 2**resolution >= 2 * max_count - 1.
+    max_count = 6
+    min_resolution = (2 * max_count - 2).bit_length()
+    if resolution < min_resolution:
+        raise ValueError(
+            f"resolution must be >= {min_resolution} to fit {max_count} disjoint "
+            f"intervals, got {resolution}"
+        )
     checks = {
         "projection_identity": 0.0,
         "pointwise_sharp_vs_rms": 0.0,
@@ -683,7 +693,7 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     for t in range(trials):
         rng = rng_for((seed, t))
         f = random_function((seed, t, 0), resolution, "gaussian-cells")
-        count = int(rng.integers(1, 7))
+        count = int(rng.integers(1, max_count + 1))
         intervals = random_interval_family((seed, t, 1), resolution, count)
         decs = family_decompose(intervals)
 
@@ -809,7 +819,15 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
 
 
 def decompose_report(a: int, b: int) -> dict:
-    """Decomposition of [a, b) plus its elementwise verification, JSON-able."""
+    """Decomposition of [a, b) plus its elementwise verification, JSON-able.
+
+    The verification enumerates every element, so [a, b) may hold at most
+    2**MAX_RESOLUTION of them, the size of the largest campaign grid.
+    """
+    if b - a > 1 << MAX_RESOLUTION:
+        raise ValueError(
+            f"interval [{a}, {b}) has {b - a} elements, more than 2**{MAX_RESOLUTION}"
+        )
     dec = decompose(a, b)
     chk = verify_decomposition(dec, a, b)
     return {

@@ -11,11 +11,13 @@ whole index blocks:
 Construction.  Write the set binary digits of b as k_1 > ... > k_l.  The
 prefix interval [0, b) splits into consecutive pieces, the i-th of length
 2**k_i, and translation by b sends the i-th piece onto block k_i + 1
-(`decompose_prefix`).  Exactly one of these pieces contains a; the pieces to
-its right survive unchanged as the right pieces of [a, b).  The remaining
-gap between a and the end of a's piece is filled left to right by the images
-of blocks under translation by a: each zero digit of a strictly below k_m
-(the digit governing a's piece) contributes one piece `translate_block(a, kappa+1)`,
+(`decompose_prefix`).  Exactly one of these pieces contains a: the piece of
+k_m, the highest digit where a and b differ (b has a one there, a a zero,
+and above it they agree).  The pieces to its right, one per set digit of b
+below k_m, survive unchanged as the right pieces of [a, b); only they are
+built.  The remaining gap between a and the end of a's piece is filled left
+to right by the images of blocks under translation by a: each zero digit of
+a strictly below k_m contributes one piece `translate_block(a, kappa+1)`,
 and emitting them in increasing digit order makes anchor plus left pieces a
 contiguous segment of Z+.
 
@@ -29,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .dyadic import IntInterval, check_index, delta_block, translate_block
 
@@ -67,6 +67,21 @@ class Decomposition:
         return out
 
 
+def _prefix_pieces(b: int, top: int) -> list[Piece]:
+    """The pieces of `decompose_prefix(b)` for the set digits of b below `top`.
+
+    Digit k contributes the next 2**k integers and lands on block k + 1; the
+    first piece starts at b with its digits below `top` cleared.
+    """
+    pieces: list[Piece] = []
+    left_end = b >> top << top
+    for k in range(top - 1, -1, -1):
+        if (b >> k) & 1:
+            pieces.append((k + 1, IntInterval(left_end, left_end + (1 << k))))
+            left_end += 1 << k
+    return pieces
+
+
 def decompose_prefix(b: int) -> list[Piece]:
     """Split [0, b) into pieces carried onto whole blocks by translation by b.
 
@@ -76,13 +91,7 @@ def decompose_prefix(b: int) -> list[Piece]:
     check_index(b, "b")
     if b < 1:
         raise ValueError("cannot decompose the empty interval [0, 0)")
-    pieces: list[Piece] = []
-    left_end = 0
-    for k in range(b.bit_length() - 1, -1, -1):
-        if (b >> k) & 1:
-            pieces.append((k + 1, IntInterval(left_end, left_end + (1 << k))))
-            left_end += 1 << k
-    return pieces
+    return _prefix_pieces(b, b.bit_length())
 
 
 def decompose(a: int, b: int) -> Decomposition:
@@ -91,10 +100,8 @@ def decompose(a: int, b: int) -> Decomposition:
     check_index(b, "b")
     if a >= b:
         raise ValueError(f"empty interval [{a}, {b})")
-    prefix = decompose_prefix(b)
-    m = next(i for i, (_, piece) in enumerate(prefix) if a in piece)
-    k_m = prefix[m][0] - 1
-    right = tuple(prefix[m + 1 :])
+    k_m = (a ^ b).bit_length() - 1
+    right = tuple(_prefix_pieces(b, k_m))
     left = tuple(
         (kappa + 1, translate_block(a, kappa + 1))
         for kappa in range(k_m)
@@ -119,14 +126,13 @@ class DecompositionCheck:
         }
 
 
-def _check_piece(base: int, level: int, piece: IntInterval):
-    """First element of `piece` that translation by `base` throws out of its block."""
-    blk = delta_block(level)
-    elements = np.arange(piece.lo, piece.hi, dtype=np.int64)
-    images = elements ^ base
-    bad = (images < blk.lo) | (images >= blk.hi)
-    witness = int(elements[bad][0]) if bad.any() else None
-    return witness, piece.size == blk.size
+def _first_escape(base: int, blk: IntInterval, piece: IntInterval) -> int | None:
+    """First element of `piece` that translation by `base` throws out of `blk`."""
+    lo, hi = blk.lo, blk.hi
+    for x in range(piece.lo, piece.hi):
+        if not lo <= x ^ base < hi:
+            return x
+    return None
 
 
 def verify_decomposition(dec: Decomposition, a: int, b: int) -> DecompositionCheck:
@@ -136,6 +142,11 @@ def verify_decomposition(dec: Decomposition, a: int, b: int) -> DecompositionChe
     (resp. b) maps every left (resp. right) piece onto exactly its block.
     Failures are reported, not raised; the witness is the first element
     whose translate leaves its block, when one exists.
+
+    Coverage is decided from the sorted (lo, hi) spans of the anchor and the
+    pieces: they cover [a, b) exactly when their lengths add up to b - a,
+    the first starts at a and each starts where the previous one ends.
+    Some spans overlap exactly when some consecutive sorted pair does.
     """
     failures: list[str] = []
     witness: int | None = None
@@ -143,31 +154,39 @@ def verify_decomposition(dec: Decomposition, a: int, b: int) -> DecompositionChe
     if dec.anchor != a:
         failures.append(f"anchor {dec.anchor} != {a}")
 
-    covered = np.concatenate(
-        [np.array([dec.anchor], dtype=np.int64)]
-        + [np.arange(p.lo, p.hi, dtype=np.int64) for _, p in dec.left + dec.right]
+    spans = sorted(
+        [(dec.anchor, dec.anchor + 1)]
+        + [(p.lo, p.hi) for _, p in dec.left + dec.right]
     )
-    covered_sorted = np.sort(covered)
-    expected = np.arange(a, b, dtype=np.int64)
-    if covered_sorted.shape != expected.shape:
-        failures.append(
-            f"covers {covered_sorted.shape[0]} elements, interval has {expected.shape[0]}"
-        )
-        if np.unique(covered).shape[0] != covered.shape[0]:
+    end = spans[0][0]
+    contiguous = end == a
+    overlap = False
+    covered = 0
+    for lo, hi in spans:
+        covered += hi - lo
+        if lo != end:
+            contiguous = False
+            overlap = overlap or lo < end
+        end = hi
+    expected = max(b - a, 0)
+    if covered != expected:
+        failures.append(f"covers {covered} elements, interval has {expected}")
+        if overlap:
             failures.append("pieces overlap")
-    elif not np.array_equal(covered_sorted, expected):
+    elif not contiguous:
         failures.append("union of anchor and pieces is not [a, b)")
 
     for side, base, pieces in (("left", a, dec.left), ("right", b, dec.right)):
         for level, piece in pieces:
-            w, size_ok = _check_piece(base, level, piece)
+            blk = delta_block(level)
+            w = _first_escape(base, blk, piece)
             if w is not None:
                 failures.append(
                     f"{side} piece level {level}: element {w} leaves its block"
                 )
                 if witness is None:
                     witness = w
-            if not size_ok:
+            if piece.size != blk.size:
                 failures.append(
                     f"{side} piece level {level}: size {piece.size} != block size"
                 )

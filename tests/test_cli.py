@@ -30,6 +30,19 @@ def test_decompose_subcommand(capsys):
     assert payload["checks"]["passed"]
 
 
+def test_decompose_short_interval_at_large_anchor(capsys):
+    a = 1 << 31
+    code, out = run_cli(capsys, "decompose", "--a", str(a), "--b", str(a + 5))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["anchor"] == a
+    assert payload["checks"]["passed"]
+
+    code, out = run_cli(capsys, "decompose", "--a", "0", "--b", str(1 << 20))
+    assert code == 0
+    assert json.loads(out)["passed"]
+
+
 def test_scalar_subcommand_exit_codes(capsys):
     code, out = run_cli(
         capsys, "scalar", "--resolution", "6", "--trials", "10", "--seed", "1",
@@ -121,6 +134,10 @@ def test_unknown_command_rejected():
         ("vector", "--rad", "mc:0", "--resolution", "4", "--trials", "2"),
         ("verify-identities", "--trials", "0", "--resolution", "4"),
         ("verify-identities", "--resolution", "21"),
+        ("verify-identities", "--resolution", "2"),
+        ("verify-identities", "--resolution", "3", "--seed", "1", "--trials", "2"),
+        ("decompose", "--a", "0", "--b", "4000000000"),
+        ("decompose", "--a", "0", "--b", str((1 << 20) + 1)),
         ("czd", "--lambda", "1", "--resolution", "21"),
     ],
 )
