@@ -35,6 +35,8 @@ from .intervals import decompose, family_decompose, verify_decomposition
 from .lattice import (
     LatticeFunction,
     _adjoint_of_stack,
+    _sign_rows,
+    cells_mask,
     cz_decompose,
     duality_pairing,
     lp_radx_norm,
@@ -105,6 +107,8 @@ class ExperimentConfig:
         for name in ("trials", "count", "dim", "components"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lam_halfspan < 0:
+            raise ValueError(f"lam_halfspan must be >= 0, got {self.lam_halfspan}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -582,10 +586,7 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
             tstar_bad = _adjoint_of_stack(bad, decs, cfg.resolution)
             for k, (lam, cells) in enumerate(zip(lams[chunk], stops)):
                 tstar_b = LatticeFunction(cfg.resolution, tstar_bad[:, k], cfg.q)
-                mask = np.zeros(1 << cfg.resolution, dtype=bool)
-                for cell in cells:
-                    mask[cell.grid_slice(cfg.resolution)] = True
-                off = ~mask
+                off = ~cells_mask(cells, cfg.resolution)
                 if off.any():
                     excess.append(float(tstar_b.norm_values()[off].max()))
                 weak.append(_ratio(lam * float((out_norms > lam).mean()), l1))
@@ -624,7 +625,7 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
         tf = segment_transform(f, decs)
         rhs = duality_pairing(f, segment_transform_adjoint(gs, decs))
         count = len(decs)
-        signs = 1.0 - 2.0 * ((np.arange(1 << count)[:, None] >> np.arange(count)) & 1)
+        signs = _sign_rows(count, "exact", None)
         lhs = 0.0
         for row in signs:
             tsum = sum(float(row[s]) * tf[s].values for s in range(count))
@@ -848,8 +849,10 @@ def czd_report(
 ) -> dict:
     """Splitting of a seeded random lattice function at an absolute height."""
     _check_resolution(resolution)
-    if lam <= 0:
-        raise ValueError(f"threshold must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"threshold must be finite and positive, got {lam}")
+    if not q >= 1:
+        raise ValueError(f"lattice exponent q must be >= 1, got {q}")
     g = random_lattice_function((seed, 0, 0), resolution, dim, q, "gaussian-cells")
     result = cz_decompose(g, lam)
     report = verify_cz(result, g)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .walsh import (
     DyadicCell,
     DyadicFunction,
     ResolutionError,
+    cell_sums,
     column_chunks,
     project_columns,
 )
@@ -173,12 +174,15 @@ class RadElement:
         return self.points[0].q
 
 
-@lru_cache(maxsize=8)
-def _sign_matrix_cached(count: int) -> np.ndarray:
+def _exact_signs(count: int) -> np.ndarray:
+    """All 2**count sign vectors; entry s of row k is -1 iff bit s of k is set."""
     rows = np.arange(1 << count, dtype=np.int64)
     signs = 1.0 - 2.0 * ((rows[:, None] >> np.arange(count)) & 1)
     signs.setflags(write=False)
     return signs
+
+
+_cached_exact_signs = lru_cache(maxsize=8)(_exact_signs)
 
 
 def _sign_rows(count: int, mode: str, seed) -> np.ndarray:
@@ -189,10 +193,8 @@ def _sign_rows(count: int, mode: str, seed) -> np.ndarray:
                 f"exact sign enumeration supports at most {EXACT_SIGN_LIMIT} "
                 f"components, got {count}; use an mc:<samples> mode"
             )
-        if count <= 14:
-            return _sign_matrix_cached(count)
-        rows = np.arange(1 << count, dtype=np.int64)  # too big to keep cached
-        return 1.0 - 2.0 * ((rows[:, None] >> np.arange(count)) & 1)
+        # beyond 14 components the matrix is too big to keep cached
+        return (_cached_exact_signs if count <= 14 else _exact_signs)(count)
     if mode.startswith("mc:"):
         samples = int(mode.split(":", 1)[1])
         if samples < 1:
@@ -357,12 +359,18 @@ class CZResult:
 
     def bad_set_mask(self, max_level: int | None = None) -> np.ndarray:
         """Grid mask of the union of stopping cells (of level <= max_level)."""
-        resolution = self.b.resolution
-        mask = np.zeros(1 << resolution, dtype=bool)
-        for cell in self.cells:
-            if max_level is None or cell.level <= max_level:
-                mask[cell.grid_slice(resolution)] = True
-        return mask
+        return cells_mask(
+            (c for c in self.cells if max_level is None or c.level <= max_level),
+            self.b.resolution,
+        )
+
+
+def cells_mask(cells: Iterable[DyadicCell], resolution: int) -> np.ndarray:
+    """Grid mask of the union of the given dyadic cells."""
+    mask = np.zeros(1 << resolution, dtype=bool)
+    for cell in cells:
+        mask[cell.grid_slice(resolution)] = True
+    return mask
 
 
 def stopping_cells(leaf_norms: np.ndarray, lam: float) -> list[DyadicCell]:
@@ -371,15 +379,10 @@ def stopping_cells(leaf_norms: np.ndarray, lam: float) -> list[DyadicCell]:
     Top-down sweep; a cell is selected iff its average is strictly above lam
     and no ancestor was selected.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"threshold must be positive, got {lam}")
-    n = leaf_norms.shape[0]
-    resolution = int(n).bit_length() - 1
-    sums = [leaf_norms]
-    for _ in range(resolution):
-        prev = sums[-1]
-        sums.append(prev[0::2] + prev[1::2])
-    sums.reverse()  # sums[m] holds the level-m cell sums
+    sums = list(cell_sums(leaf_norms))[::-1]  # sums[m] holds the level-m cell sums
+    resolution = len(sums) - 1
     cells: list[DyadicCell] = []
     covered = np.zeros(1, dtype=bool)
     for m in range(resolution + 1):
@@ -440,39 +443,24 @@ def verify_cz(result: CZResult, g: LatticeFunction, tol: float = 1e-10) -> dict:
     checks["h_l1"] = float(result.h.norm_values().mean()) <= l1 + tol
     checks["b_mean_zero"] = float(np.abs(result.b.values.mean(axis=0)).max()) <= tol
 
+    sums = list(cell_sums(result.b.values))[::-1]  # level-m cell sums, (2**m, d)
     support_ok = True
     for level in range(1, g.resolution + 1):
-        diff = np.repeat(
-            result.b.values.reshape(1 << level, -1, g.dim).mean(axis=1),
-            n >> level,
-            axis=0,
-        )
-        if level > 1:
-            coarse = np.repeat(
-                result.b.values.reshape(1 << (level - 1), -1, g.dim).mean(axis=1),
-                n >> (level - 1),
-                axis=0,
-            )
-            diff = diff - coarse
-        else:
-            diff = diff - result.b.values.mean(axis=0)
+        fine = sums[level] / (n >> level)
+        coarse = sums[level - 1] / (n >> (level - 1))
+        diff = np.repeat(fine - np.repeat(coarse, 2, axis=0), n >> level, axis=0)
         off = ~result.bad_set_mask(max_level=level - 1)
         if off.any() and float(np.abs(diff[off]).max()) > tol:
             support_ok = False
             break
     checks["diff_support"] = support_ok
 
-    measure = float(result.bad_set_mask().mean())
+    bad_set = result.bad_set_mask()
+    measure = float(bad_set.mean())
     checks["bad_set_measure"] = measure <= l1 / result.lam + tol
-
-    disjoint = True
-    cover = np.zeros(n, dtype=bool)
-    for cell in result.cells:
-        sl = cell.grid_slice(g.resolution)
-        if cover[sl].any():
-            disjoint = False
-        cover[sl] = True
-    checks["cells_disjoint"] = disjoint
+    # the union covers the sum of the cell widths iff no two cells overlap
+    widths = sum(n >> cell.level for cell in result.cells)
+    checks["cells_disjoint"] = int(bad_set.sum()) == widths
 
     return {
         "passed": all(checks.values()),

@@ -28,6 +28,7 @@ from .intervals import Decomposition
 from .walsh import (
     DyadicFunction,
     ResolutionError,
+    cell_sums,
     column_chunks,
     project_columns,
     walsh_eval,
@@ -124,28 +125,20 @@ def block_sum_family(
     return SeqFunction(f.resolution, _block_sums(f.values, anchors, levels))
 
 
-def _level_stats(values: np.ndarray, resolution: int):
-    """Yield (level, per-cell sums) from the leaves up to the root."""
-    cur = values
-    yield resolution, cur
-    for level in range(resolution - 1, -1, -1):
-        cur = cur[..., 0::2] + cur[..., 1::2]
-        yield level, cur
-
-
 def sharp_maximal(g: SeqFunction) -> DyadicFunction:
     """Dyadic sharp function: sup over cells of the rms oscillation about the cell mean.
 
     Uses the per-cell variance identity (mean of the squared norm minus the
     squared norm of the mean) so each level costs one pairwise-sum pass.
+    Each level of the (cells, S) pyramid is turned back into a C-ordered
+    (S, cells) array before summing over components: numpy adds a contiguous
+    axis of 8 or more pairwise, which would round differently.
     """
     n = 1 << g.resolution
-    sq_levels = _level_stats((g.values**2).sum(axis=0), g.resolution)
-    comp_levels = _level_stats(g.values, g.resolution)
     best = np.zeros(n)
-    for (level, sq), (_, comp) in zip(sq_levels, comp_levels):
-        count = 1 << (g.resolution - level)
-        osc2 = sq / count - ((comp / count) ** 2).sum(axis=0)
+    for sq, comp in zip(cell_sums((g.values**2).sum(axis=0)), cell_sums(g.values.T)):
+        count = n // sq.shape[0]
+        osc2 = sq / count - ((comp.T / count) ** 2).sum(axis=0)
         best = np.maximum(best, np.repeat(np.maximum(osc2, 0.0), count))
     return DyadicFunction(g.resolution, np.sqrt(best))
 
@@ -154,8 +147,8 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     """Dyadic Hardy-Littlewood maximal function: sup of cell averages of |f|."""
     n = f.size
     best = np.zeros(n)
-    for level, sums in _level_stats(np.abs(f.values), f.resolution):
-        count = 1 << (f.resolution - level)
+    for sums in cell_sums(np.abs(f.values)):
+        count = n // sums.shape[0]
         best = np.maximum(best, np.repeat(sums / count, count))
     return DyadicFunction(f.resolution, best)
 
@@ -176,11 +169,8 @@ def square_function(g: SeqFunction) -> DyadicFunction:
     """
     res = g.resolution
     n = 1 << res
-    means = [g.values]
-    for _ in range(res):
-        prev = means[-1]
-        means.append(0.5 * (prev[:, 0::2] + prev[:, 1::2]))
-    means.reverse()  # means[k] now holds the level-k cell means, shape (S, 2**k)
+    # means[k] holds the level-k cell means, C-ordered (S, 2**k) as in sharp_maximal
+    means = [s.T / (n // s.shape[0]) for s in cell_sums(g.values.T)][::-1]
     acc = np.zeros(n)
     for k in range(1, res + 1):
         diff = means[k] - np.repeat(means[k - 1], 2, axis=1)

@@ -298,6 +298,20 @@ def _check_level(k: int, resolution: int) -> None:
         raise ResolutionError(f"level {k} exceeds resolution {resolution}")
 
 
+def cell_sums(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-level dyadic cell sums along axis 0, from the leaves up to the root.
+
+    Yields `values` itself (level N), then the pairwise sums of each level's
+    neighbouring cells (levels N-1 .. 0); trailing axes ride along.  A
+    generator, so a fold keeps one level alive at a time.
+    """
+    cur = values
+    yield cur
+    while cur.shape[0] > 1:
+        cur = cur[0::2] + cur[1::2]
+        yield cur
+
+
 def expectation(k: int, f: DyadicFunction) -> DyadicFunction:
     """Conditional expectation onto generation k: cell averages at level k.
 

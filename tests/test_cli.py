@@ -139,6 +139,10 @@ def test_unknown_command_rejected():
         ("decompose", "--a", "0", "--b", "4000000000"),
         ("decompose", "--a", "0", "--b", str((1 << 20) + 1)),
         ("czd", "--lambda", "1", "--resolution", "21"),
+        ("czd", "--lambda", "nan"),
+        ("czd", "--lambda", "inf"),
+        ("czd", "--lambda", "1", "--q", "nan"),
+        ("adjoint", "--count", "21", "--resolution", "6", "--trials", "1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from walshlab.dyadic import IntInterval
+from walshlab.dyadic import IntInterval, delta_block
 from walshlab.experiments import (
+    ASSERT_TOL,
     MAX_RESOLUTION,
     ExperimentConfig,
+    _family_for_trial,
+    _scalar_probes,
     random_function,
     random_interval_family,
     random_lattice_function,
@@ -26,7 +29,9 @@ from walshlab.experiments import (
     decompose_report,
     exhaustive_pointwise_basis_check,
 )
-from walshlab.walsh import analyze_values, walsh_eval
+from walshlab.intervals import family_decompose
+from walshlab.operators import block_sum_family, rms_maximal, sharp_maximal
+from walshlab.walsh import DyadicFunction, analyze_values, walsh_eval
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +367,9 @@ def test_czd_report():
     report = czd_report(resolution=6, dim=2, q=2.0, lam=1.5, seed=0)
     assert report["passed"]
     assert report["config"]["lam"] == 1.5
-    with pytest.raises(ValueError):
-        czd_report(resolution=6, dim=2, q=2.0, lam=0.0, seed=0)
+    for lam, q in ((0.0, 2.0), (float("nan"), 2.0), (float("inf"), 2.0), (1.5, float("nan"))):
+        with pytest.raises(ValueError):
+            czd_report(resolution=6, dim=2, q=q, lam=lam, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +391,24 @@ def test_czd_report():
         {"components": 0},
         {"resolution": -1},
         {"resolution": MAX_RESOLUTION + 1},
+        {"lam_halfspan": -1},
     ],
 )
 def test_config_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(kind="scalar", **bad)
+
+
+def test_weak11_single_height_grid():
+    # lam_halfspan = 0 checks the median height alone; a negative span
+    # would check no height and pass vacuously, so the config refuses it
+    cfg = ExperimentConfig(
+        kind="weak11", resolution=5, trials=2, seed=3, dim=2, count=2, lam_halfspan=0
+    )
+    report = run_weak11(cfg)
+    assert report.passed
+    with pytest.raises(ValueError, match="lam_halfspan"):
+        dataclasses.replace(cfg, lam_halfspan=-1)
 
 
 def test_config_admits_the_largest_benchmarked_grid():
@@ -486,3 +505,36 @@ def test_nan_table_value_fails_the_basis_sweep(monkeypatch):
         return
     assert poisoned
     assert report["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# large grids: the absolute ASSERT_TOL against values of size 2**N
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("resolution", [14, 15, 16])
+def test_scalar_probes_hold_at_large_resolution(resolution):
+    probes = _scalar_probes(resolution)
+    report = run_scalar_lpr(
+        ExperimentConfig(kind="scalar", resolution=resolution, trials=len(probes), p=2.0)
+    )
+    assert report.passed
+    assert [rec["case"] for rec in report.trials] == [case for case, _, _ in probes]
+    for rec in report.trials:
+        assert rec["ratio"] <= 1.0 + ASSERT_TOL, rec
+
+
+@pytest.mark.parametrize("resolution", [14, 15, 16])
+def test_spike_sharp_bound_holds_at_large_resolution(resolution):
+    # the spike reaches 2**N, yet the pointwise bound keeps the absolute tolerance
+    n = 1 << resolution
+    spike = np.zeros(n)
+    spike[0] = float(n)
+    f = DyadicFunction(resolution, spike)
+    m2 = rms_maximal(f).values
+    cfg = ExperimentConfig(kind="pointwise", resolution=resolution, trials=3)
+    families = [[IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]]
+    families += [_family_for_trial(cfg, t) for t in range(cfg.trials)]
+    for intervals in families:
+        sharp = sharp_maximal(block_sum_family(f, family_decompose(intervals))).values
+        assert float((sharp - m2).max()) <= ASSERT_TOL
