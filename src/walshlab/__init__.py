@@ -2,30 +2,23 @@
 
 from .dyadic import (
     IntInterval,
-    block_level,
     delta_block,
-    dyadic_add,
     translate_block,
-    translate_set,
 )
 from .walsh import (
     DyadicCell,
     DyadicFunction,
     ResolutionError,
-    Spectrum,
-    analyze,
     expectation,
     fwht,
     mart_diff,
     project,
     restrict_rescale,
-    synthesize,
     walsh_eval,
 )
 from .intervals import (
     Decomposition,
     decompose,
-    decompose_prefix,
     family_decompose,
     verify_decomposition,
 )
@@ -41,20 +34,16 @@ from .operators import (
 from .lattice import (
     CZResult,
     LatticeFunction,
-    LatticePoint,
-    RadElement,
     cz_decompose,
     duality_pairing,
     lattice_norm,
     lp_radx_norm,
     lp_x_norm,
-    rad_norm,
     rad_norm_values,
     segment_transform,
     segment_transform_adjoint,
     stopping_cells,
     verify_cz,
-    x_l2_norm,
 )
 from .experiments import (
     ExperimentConfig,

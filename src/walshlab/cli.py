@@ -1,10 +1,10 @@
 """Command line front end: `lpr <subcommand> [flags]`.
 
 Exit code 0 iff every asserted bound in the run passed, 1 when one failed,
-and 2 for input that is refused (a usage error or a ValueError from the
-library, reported as one line on stderr).  All reports embed the fully
-resolved config; writing the same config twice yields identical output
-apart from the timestamp field.
+and 2 for input that is refused (a usage error, a ValueError from the
+library, or a report path that cannot be written, reported as one line on
+stderr).  All reports embed the fully resolved config; writing the same
+config twice yields identical output apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from .experiments import (
+    FAMILIES,
     RUNNERS,
     ExperimentConfig,
     czd_report,
@@ -30,21 +31,21 @@ RATIO_COMMANDS = tuple(RUNNERS)
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("LPR_SEED", "0"))
+    raw = os.environ.get("LPR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"LPR_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--resolution", type=int, default=8)
     sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=_default_seed())
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--p", type=float, default=2.0)
     sub.add_argument("--q", type=float, default=2.0)
     sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument(
-        "--family",
-        choices=("random", "dyadic", "misaligned", "singletons"),
-        default="random",
-    )
+    sub.add_argument("--family", choices=FAMILIES, default="random")
     sub.add_argument("--count", type=int, default=4)
     sub.add_argument("--rad", default="exact", help="exact or mc:<samples>")
     sub.add_argument("--policy", default="gaussian-cells")
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify-identities")
     ver.add_argument("--resolution", type=int, default=8)
     ver.add_argument("--trials", type=int, default=50)
-    ver.add_argument("--seed", type=int, default=_default_seed())
+    ver.add_argument("--seed", type=int)
     ver.add_argument("--out", default=None)
 
     czd = subs.add_parser("czd")
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     czd.add_argument("--resolution", type=int, default=8)
     czd.add_argument("--dim", type=int, default=2)
     czd.add_argument("--q", type=float, default=2.0)
-    czd.add_argument("--seed", type=int, default=_default_seed())
+    czd.add_argument("--seed", type=int)
     czd.add_argument("--out", default=None)
 
     return parser
@@ -100,8 +101,12 @@ def _emit_object(report: dict, out: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # --seed defaults to $LPR_SEED (else 0), read here so that a bad
+        # value is refused like any other input
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()
         return _run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"lpr {args.command}: error: {message}", file=sys.stderr)
         return 2

@@ -1,14 +1,14 @@
 """Bit arithmetic on Walsh indices, integer intervals, and index blocks.
 
-Walsh indices are plain nonnegative Python ints below 2**32.  Everything in
-this module is exact integer combinatorics; it is the substrate shared by the
-transform, decomposition, and operator layers.
+Walsh indices are plain nonnegative Python ints below 2**32; the dyadic
+(digitwise mod-2) sum of two indices, "translation", is plain xor.
+Everything in this module is exact integer combinatorics; it is the
+substrate shared by the transform, decomposition, and operator layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 MAX_INDEX_BITS = 32
 MAX_INDEX = 1 << MAX_INDEX_BITS
@@ -20,17 +20,6 @@ def check_index(n: int, what: str = "index") -> int:
     if n >= MAX_INDEX:
         raise ValueError(f"{what} {n} exceeds the {MAX_INDEX_BITS}-bit limit")
     return n
-
-
-def dyadic_add(n1: int, n2: int) -> int:
-    """Digitwise mod-2 sum of two indices, i.e. bitwise xor.
-
-    Commutative and self-inverse: dyadic_add(n, n) == 0, and translating by a
-    fixed index is a bijection of Z+ onto itself.
-    """
-    check_index(n1, "n1")
-    check_index(n2, "n2")
-    return n1 ^ n2
 
 
 @dataclass(frozen=True)
@@ -50,12 +39,6 @@ class IntInterval:
     @property
     def size(self) -> int:
         return self.hi - self.lo
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n < self.hi
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.lo, self.hi))
 
     def to_set(self) -> set[int]:
         return set(range(self.lo, self.hi))
@@ -82,18 +65,6 @@ def delta_block(k: int) -> IntInterval:
     if k >= MAX_INDEX_BITS:
         raise ValueError(f"block level {k} exceeds the {MAX_INDEX_BITS}-bit limit")
     return _BLOCKS[k]
-
-
-def block_level(n: int) -> int:
-    """The unique k with n in delta_block(k).  Equals the bit length of n."""
-    check_index(n)
-    return n.bit_length()
-
-
-def translate_set(a: int, indices: Iterable[int]) -> set[int]:
-    """{dyadic_add(a, s) for s in indices}; preserves cardinality."""
-    check_index(a, "a")
-    return {dyadic_add(a, s) for s in indices}
 
 
 def translate_block(a: int, k: int) -> IntInterval:

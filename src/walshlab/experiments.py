@@ -35,6 +35,7 @@ from .intervals import decompose, family_decompose, verify_decomposition
 from .lattice import (
     LatticeFunction,
     _adjoint_of_stack,
+    _mc_samples,
     _sign_rows,
     cells_mask,
     cz_decompose,
@@ -71,11 +72,18 @@ from .walsh import (
 ASSERT_TOL = 1e-10
 # Largest grid a campaign accepts: 2**20 cells, 8 MiB per float array.
 MAX_RESOLUTION = 20
+FAMILIES = ("random", "dyadic", "misaligned", "singletons")
 
 
 def _check_resolution(resolution: int) -> None:
     if not 0 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {resolution}")
+
+
+def _check_min(least: int, **values) -> None:
+    for name, value in values.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +112,14 @@ class ExperimentConfig:
             raise ValueError(f"exponent p must be finite and >= 1, got {self.p}")
         if not self.q >= 1:
             raise ValueError(f"lattice exponent q must be >= 1, got {self.q}")
-        for name in ("trials", "count", "dim", "components"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lam_halfspan < 0:
-            raise ValueError(f"lam_halfspan must be >= 0, got {self.lam_halfspan}")
+        _check_min(
+            1, trials=self.trials, count=self.count, dim=self.dim, components=self.components
+        )
+        _check_min(0, lam_halfspan=self.lam_halfspan, seed=self.seed)
+        _check_policy(self.policy)
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family policy {self.family!r}")
+        _mc_samples(self.rad)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -139,10 +150,20 @@ def rng_for(seed, *key) -> np.random.Generator:
 
 
 def _sparse_arg(policy: str) -> int:
-    k = int(policy.split(":", 1)[1])
+    try:
+        k = int(policy.split(":", 1)[1])
+    except ValueError:
+        k = 0
     if k < 1:
-        raise ValueError(f"sparse spectrum needs at least one coefficient, got {k}")
+        raise ValueError(f"policy {policy!r} needs at least one coefficient")
     return k
+
+
+def _check_policy(policy: str) -> None:
+    if policy.startswith("sparse-spectrum:"):
+        _sparse_arg(policy)
+    elif policy not in ("gaussian-cells", "rademacher-cells"):
+        raise ValueError(f"unknown function policy {policy!r}")
 
 
 def random_function(seed, resolution: int, policy: str) -> DyadicFunction:
@@ -665,8 +686,8 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     reported as an empirical ratio distribution instead.
     """
     _check_resolution(resolution)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_min(1, trials=trials)
+    _check_min(0, seed=seed)
     # Each trial draws 1..max_count disjoint intervals.  Their 2 * count
     # endpoints are distinct points of [0, 2**resolution], which holds for
     # every draw once 2**resolution >= 2 * max_count - 1.
@@ -849,8 +870,10 @@ def czd_report(
 ) -> dict:
     """Splitting of a seeded random lattice function at an absolute height."""
     _check_resolution(resolution)
+    _check_min(1, dim=dim)
+    _check_min(0, seed=seed)
     if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"threshold must be finite and positive, got {lam}")
+        raise ValueError(f"threshold lambda must be finite and positive, got {lam}")
     if not q >= 1:
         raise ValueError(f"lattice exponent q must be >= 1, got {q}")
     g = random_lattice_function((seed, 0, 0), resolution, dim, q, "gaussian-cells")

@@ -1,17 +1,17 @@
 """Anchored xor-block decomposition of integer intervals.
 
 Any interval [a, b) in Z+ splits into the anchor singleton {a}, a run of
-"left" pieces that the translation x -> dyadic_add(a, x) maps onto whole
-index blocks, and a run of "right" pieces that translation by b maps onto
-whole index blocks:
+"left" pieces that the translation x -> a ^ x maps onto whole index blocks,
+and a run of "right" pieces that translation by b maps onto whole index
+blocks:
 
     [a, b) = {a}  u  U_j J_j  u  U_i K_i,
-    dyadic_add(a, J_j) = delta_block(j),   dyadic_add(b, K_i) = delta_block(i).
+    a ^ J_j = delta_block(j),   b ^ K_i = delta_block(i).
 
 Construction.  Write the set binary digits of b as k_1 > ... > k_l.  The
 prefix interval [0, b) splits into consecutive pieces, the i-th of length
 2**k_i, and translation by b sends the i-th piece onto block k_i + 1
-(`decompose_prefix`).  Exactly one of these pieces contains a: the piece of
+(`_prefix_pieces`).  Exactly one of these pieces contains a: the piece of
 k_m, the highest digit where a and b differ (b has a one there, a a zero,
 and above it they agree).  The pieces to its right, one per set digit of b
 below k_m, survive unchanged as the right pieces of [a, b); only they are
@@ -68,9 +68,10 @@ class Decomposition:
 
 
 def _prefix_pieces(b: int, top: int) -> list[Piece]:
-    """The pieces of `decompose_prefix(b)` for the set digits of b below `top`.
+    """Prefix pieces of [0, b) for the set digits of b below `top`.
 
-    Digit k contributes the next 2**k integers and lands on block k + 1; the
+    Scanning the digits from the highest down, digit k contributes the next
+    2**k integers, which translation by b carries onto block k + 1; the
     first piece starts at b with its digits below `top` cleared.
     """
     pieces: list[Piece] = []
@@ -80,18 +81,6 @@ def _prefix_pieces(b: int, top: int) -> list[Piece]:
             pieces.append((k + 1, IntInterval(left_end, left_end + (1 << k))))
             left_end += 1 << k
     return pieces
-
-
-def decompose_prefix(b: int) -> list[Piece]:
-    """Split [0, b) into pieces carried onto whole blocks by translation by b.
-
-    One piece per set binary digit of b, scanned from the highest digit down:
-    digit k contributes the next 2**k integers and lands on block k + 1.
-    """
-    check_index(b, "b")
-    if b < 1:
-        raise ValueError("cannot decompose the empty interval [0, 0)")
-    return _prefix_pieces(b, b.bit_length())
 
 
 def decompose(a: int, b: int) -> Decomposition:

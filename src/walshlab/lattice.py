@@ -4,8 +4,7 @@ Values live in l^q(d): d coordinates with the coordinatewise order and the
 q-norm (max for q = inf).  A lattice-valued grid function is a (2**N, d)
 array of cell values.  On top of that this module provides
 
-* the mixed norms: L^p of the lattice norm, the lattice norm of the
-  coordinatewise l2 sum across a finite sequence, and the L^p norm of a
+* the mixed norms: L^p of the lattice norm, and the L^p norm of a
   Rademacher sum (exact sign enumeration up to 20 components, seeded Monte
   Carlo beyond);
 * the segment transform pair: component s of the forward map is the sum of
@@ -36,7 +35,6 @@ import numpy as np
 from .intervals import Decomposition
 from .walsh import (
     DyadicCell,
-    DyadicFunction,
     ResolutionError,
     cell_sums,
     column_chunks,
@@ -55,28 +53,6 @@ def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     if q < 1:
         raise ValueError(f"lattice exponent must be >= 1, got {q}")
     return (np.abs(coords) ** q).sum(axis=axis) ** (1.0 / q)
-
-
-@dataclass(frozen=True, eq=False)
-class LatticePoint:
-    """A point of l^q(d)."""
-
-    coords: np.ndarray
-    q: float
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.coords, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("coords must be one-dimensional")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def norm(self) -> float:
-        return float(lattice_norm(self.coords, self.q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +80,6 @@ class LatticeFunction:
         """Pointwise lattice norms, one per cell."""
         return lattice_norm(self.values, self.q, axis=1)
 
-    def coordinate(self, c: int) -> DyadicFunction:
-        return DyadicFunction(self.resolution, self.values[:, c])
-
     def _check_compatible(self, other: "LatticeFunction") -> None:
         if self.resolution != other.resolution:
             raise ResolutionError(
@@ -114,19 +87,6 @@ class LatticeFunction:
             )
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "LatticeFunction") -> "LatticeFunction":
-        self._check_compatible(other)
-        return LatticeFunction(self.resolution, self.values + other.values, self.q)
-
-    def __sub__(self, other: "LatticeFunction") -> "LatticeFunction":
-        self._check_compatible(other)
-        return LatticeFunction(self.resolution, self.values - other.values, self.q)
-
-    def __mul__(self, scalar: float) -> "LatticeFunction":
-        return LatticeFunction(self.resolution, self.values * float(scalar), self.q)
-
-    __rmul__ = __mul__
 
 
 def lp_x_norm(f: LatticeFunction, p: float) -> float:
@@ -137,41 +97,6 @@ def lp_x_norm(f: LatticeFunction, p: float) -> float:
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     return float(np.mean(norms**p) ** (1.0 / p))
-
-
-def x_l2_norm(points: Sequence[LatticePoint]) -> float:
-    """Lattice norm of the coordinatewise l2 sum of a finite point sequence."""
-    if not points:
-        return 0.0
-    d, q = points[0].dim, points[0].q
-    for pt in points[1:]:
-        if pt.dim != d or pt.q != q:
-            raise ValueError("points live in different lattices")
-    stacked = np.stack([pt.coords for pt in points])
-    return float(lattice_norm(np.sqrt((stacked**2).sum(axis=0)), q))
-
-
-@dataclass(frozen=True, eq=False)
-class RadElement:
-    """Formal Rademacher sum: one lattice point per independent sign."""
-
-    points: tuple[LatticePoint, ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("need at least one point")
-        d, q = self.points[0].dim, self.points[0].q
-        for pt in self.points[1:]:
-            if pt.dim != d or pt.q != q:
-                raise ValueError("points live in different lattices")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.stack([pt.coords for pt in self.points])
-
-    @property
-    def q(self) -> float:
-        return self.points[0].q
 
 
 def _exact_signs(count: int) -> np.ndarray:
@@ -185,38 +110,35 @@ def _exact_signs(count: int) -> np.ndarray:
 _cached_exact_signs = lru_cache(maxsize=8)(_exact_signs)
 
 
+def _mc_samples(mode: str) -> int | None:
+    """Sample count of a sign mode: None for 'exact', k for 'mc:<k>' with k >= 1."""
+    if mode == "exact":
+        return None
+    try:
+        samples = int(mode.split(":", 1)[1]) if mode.startswith("mc:") else 0
+    except ValueError:
+        samples = 0
+    if samples < 1:
+        raise ValueError(
+            f"Rademacher sign mode {mode!r} is neither 'exact' nor 'mc:<samples>' "
+            "with at least one sample"
+        )
+    return samples
+
+
 def _sign_rows(count: int, mode: str, seed) -> np.ndarray:
     """Sign vectors to average over: the full hypercube or a seeded sample."""
-    if mode == "exact":
+    samples = _mc_samples(mode)
+    if samples is None:
         if count > EXACT_SIGN_LIMIT:
             raise ValueError(
-                f"exact sign enumeration supports at most {EXACT_SIGN_LIMIT} "
-                f"components, got {count}; use an mc:<samples> mode"
+                f"exact signs support a component count of at most "
+                f"{EXACT_SIGN_LIMIT}, got {count}; use an mc:<samples> mode"
             )
         # beyond 14 components the matrix is too big to keep cached
         return (_cached_exact_signs if count <= 14 else _exact_signs)(count)
-    if mode.startswith("mc:"):
-        samples = int(mode.split(":", 1)[1])
-        if samples < 1:
-            raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
-        rng = np.random.default_rng(seed)
-        return 1.0 - 2.0 * rng.integers(0, 2, size=(samples, count)).astype(float)
-    raise ValueError(f"unknown sign mode {mode!r}; expected 'exact' or 'mc:<samples>'")
-
-
-def rad_norm(element: RadElement, p: float, mode: str = "exact", seed=None) -> float:
-    """L^p norm of the random sum  sum_s eps_s x_s  over independent signs.
-
-    Exact mode averages the p-th power of the lattice norm over all sign
-    vectors; Monte Carlo draws them from the given seed.  Invariant under
-    permuting the points and under flipping the sign of any point.
-    """
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    mat = element.matrix
-    signs = _sign_rows(mat.shape[0], mode, seed)
-    norms = lattice_norm(signs @ mat, element.q, axis=1)
-    return float(np.mean(norms**p) ** (1.0 / p))
+    rng = np.random.default_rng(seed)
+    return 1.0 - 2.0 * rng.integers(0, 2, size=(samples, count)).astype(float)
 
 
 def _stacked(components: Sequence[LatticeFunction]) -> np.ndarray:

@@ -61,13 +61,6 @@ class SeqFunction:
                 raise ResolutionError("components live on different grids")
         return cls(res, np.stack([g.values for g in components]))
 
-    @property
-    def components(self) -> tuple[DyadicFunction, ...]:
-        return tuple(DyadicFunction(self.resolution, row) for row in self.values)
-
-    def pointwise_norm(self) -> DyadicFunction:
-        return DyadicFunction(self.resolution, np.sqrt((self.values**2).sum(axis=0)))
-
 
 def _level_ranges(levels: Iterable[int], resolution: int) -> list[tuple[int, int]]:
     """Coefficient index ranges of the blocks of the given levels."""

@@ -10,9 +10,10 @@ canonical dyadic filtration.
 
 Conventions baked in here:
 
-* ``analyze`` includes the 1/2**N factor, so coefficients are true integrals
-  (f, w_n) and Parseval reads  sum_n coeff[n]**2 == integral of f**2.
-* ``synthesize`` carries no factor; it is the plain expansion sum.
+* ``analyze_values`` includes the 1/2**N factor, so coefficients are true
+  integrals (f, w_n) and Parseval reads  sum_n coeff[n]**2 == integral of f**2.
+* ``synthesize_values`` carries no factor; it is the plain expansion sum
+  sum_n coeff[n] * w_n, so it inverts ``analyze_values``.
 * The fast transform is the natural-order butterfly composed with a
   bit-reversal index permutation, O(N * 2**N).
 * All operations require operands on a common grid and reject mismatches
@@ -47,17 +48,6 @@ class ResolutionError(ValueError):
 COLUMN_BUDGET = 1 << 14
 
 
-def _as_grid_values(values, resolution: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != (1 << resolution):
-        raise ValueError(
-            f"expected {1 << resolution} cell values for resolution {resolution}, "
-            f"got shape {arr.shape}"
-        )
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class DyadicFunction:
     """Real function on [0, 1), constant on the 2**N cells of generation N."""
@@ -68,7 +58,14 @@ class DyadicFunction:
     def __post_init__(self) -> None:
         if self.resolution < 0:
             raise ValueError("resolution must be nonnegative")
-        object.__setattr__(self, "values", _as_grid_values(self.values, self.resolution))
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1 or arr.shape[0] != (1 << self.resolution):
+            raise ValueError(
+                f"expected {1 << self.resolution} cell values for resolution "
+                f"{self.resolution}, got shape {arr.shape}"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def constant(cls, c: float, resolution: int) -> "DyadicFunction":
@@ -81,30 +78,15 @@ class DyadicFunction:
     def integral(self) -> float:
         return float(self.values.mean())
 
-    def norm(self, p: float) -> float:
-        """L^p norm with respect to Lebesgue measure on [0, 1)."""
-        if p == np.inf:
-            return float(np.abs(self.values).max())
-        if p < 1:
-            raise ValueError(f"exponent must be >= 1, got {p}")
-        return float(np.mean(np.abs(self.values) ** p) ** (1.0 / p))
-
     def _check_same_grid(self, other: "DyadicFunction") -> None:
         if self.resolution != other.resolution:
             raise ResolutionError(
                 f"resolution mismatch: {self.resolution} vs {other.resolution}"
             )
 
-    def __add__(self, other: "DyadicFunction") -> "DyadicFunction":
-        self._check_same_grid(other)
-        return DyadicFunction(self.resolution, self.values + other.values)
-
     def __sub__(self, other: "DyadicFunction") -> "DyadicFunction":
         self._check_same_grid(other)
         return DyadicFunction(self.resolution, self.values - other.values)
-
-    def __neg__(self) -> "DyadicFunction":
-        return DyadicFunction(self.resolution, -self.values)
 
     def __mul__(self, other):
         if isinstance(other, DyadicFunction):
@@ -113,17 +95,6 @@ class DyadicFunction:
         return DyadicFunction(self.resolution, self.values * float(other))
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Walsh coefficients of a grid function, Paley ordered, coeffs[n] = (f, w_n)."""
-
-    resolution: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_grid_values(self.coeffs, self.resolution))
 
 
 @dataclass(frozen=True)
@@ -138,10 +109,6 @@ class DyadicCell:
             raise ValueError("level must be nonnegative")
         if not 0 <= self.position < (1 << self.level):
             raise ValueError(f"position {self.position} out of range at level {self.level}")
-
-    @property
-    def measure(self) -> float:
-        return 2.0 ** (-self.level)
 
     def grid_slice(self, resolution: int) -> slice:
         """Indices of the generation-`resolution` cells inside this cell."""
@@ -205,27 +172,17 @@ def walsh_eval(n: int, resolution: int) -> DyadicFunction:
 
 
 def analyze_values(values: np.ndarray) -> np.ndarray:
-    """Paley-ordered Walsh coefficients of raw cell values (axis 0)."""
+    """Paley-ordered Walsh coefficients (f, w_n) of raw cell values (axis 0)."""
     n = values.shape[0]
     rev = bit_reversal(int(n).bit_length() - 1)
     return fwht(np.asarray(values, dtype=float)[rev]) / n
 
 
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
-    """Cell values of a Paley-ordered coefficient array (axis 0)."""
+    """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
     n = coeffs.shape[0]
     rev = bit_reversal(int(n).bit_length() - 1)
     return fwht(coeffs)[rev]
-
-
-def analyze(f: DyadicFunction) -> Spectrum:
-    """Walsh coefficients of f; coeffs[n] = integral of f * w_n."""
-    return Spectrum(f.resolution, analyze_values(f.values))
-
-
-def synthesize(spectrum: Spectrum) -> DyadicFunction:
-    """Expansion sum_n coeffs[n] * w_n back onto the grid."""
-    return DyadicFunction(spectrum.resolution, synthesize_values(spectrum.coeffs))
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,8 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+# Each row gives its command, then the refused input, as a flag and value
+# or as a dict of environment variables to set, then the other flags.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -138,21 +141,44 @@ def test_unknown_command_rejected():
         ("verify-identities", "--resolution", "3", "--seed", "1", "--trials", "2"),
         ("decompose", "--a", "0", "--b", "4000000000"),
         ("decompose", "--a", "0", "--b", str((1 << 20) + 1)),
-        ("czd", "--lambda", "1", "--resolution", "21"),
+        ("czd", "--resolution", "21", "--lambda", "1"),
         ("czd", "--lambda", "nan"),
         ("czd", "--lambda", "inf"),
-        ("czd", "--lambda", "1", "--q", "nan"),
+        ("czd", "--q", "nan", "--lambda", "1"),
         ("adjoint", "--count", "21", "--resolution", "6", "--trials", "1"),
+        ("czd", "--dim", "0", "--lambda", "1"),
+        ("czd", "--seed", "-3", "--lambda", "1"),
+        ("verify-identities", "--seed", "-1", "--resolution", "4", "--trials", "1"),
+        ("scalar", "--policy", "bogus", "--p", "4", "--trials", "3", "--resolution", "6"),
+        ("scalar", "--policy", "sparse-spectrum:0", "--trials", "3", "--resolution", "6"),
+        ("pointwise", "--rad", "bogus", "--resolution", "4", "--trials", "1"),
+        ("scalar", "--seed", "-1", "--trials", "2"),
+        ("scalar", {"LPR_SEED": "abc"}, "--resolution", "4", "--trials", "2"),
+        ("verify-identities", {"LPR_SEED": "abc"}, "--resolution", "4"),
+        # a file cannot hold a directory entry, so these paths are unwritable
+        ("scalar", "--out", str(Path(__file__) / "r.jsonl"), "--trials", "2"),
+        ("czd", "--out", str(Path(__file__) / "r.json"), "--lambda", "1"),
+        ("decompose", "--out", str(Path(__file__) / "r.json"), "--a", "1", "--b", "6"),
     ],
 )
-def test_bad_input_exits_2_with_one_line(capsys, argv):
-    code = main(list(argv))
+def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
+    command, refused, *rest = argv
+    if isinstance(refused, dict):
+        for name, value in refused.items():
+            monkeypatch.setenv(name, value)
+        names = list(refused) + list(refused.values())
+    else:
+        names = [refused.lstrip("-"), rest[0]]
+        rest = [refused, *rest]
+    code = main([command, *rest])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.strip().split("\n")
     assert len(lines) == 1
-    assert lines[0].startswith(f"lpr {argv[0]}: error: ")
+    assert lines[0].startswith(f"lpr {command}: error: ")
+    # the message names the refused input or quotes its value
+    assert any(name.lower() in lines[0].lower() for name in names), lines[0]
 
 
 def test_ratio_commands_match_runners():

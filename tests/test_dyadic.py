@@ -2,44 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walshlab.dyadic import (
-    IntInterval,
-    MAX_INDEX,
-    block_level,
-    delta_block,
-    dyadic_add,
-    translate_block,
-    translate_set,
-)
+from walshlab.dyadic import IntInterval, MAX_INDEX, delta_block, translate_block
+from walshlab.intervals import decompose
 
 indices = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
 
-def test_dyadic_add_examples():
-    assert dyadic_add(5, 3) == 6
-    assert dyadic_add(0, 0) == 0
-    assert dyadic_add(6, 4) == 2
-    assert dyadic_add(6, 5) == 3
-    # 6 (+) [4, 6) fills block 2
-    assert {dyadic_add(6, x) for x in range(4, 6)} == delta_block(2).to_set()
-
-
-@given(indices)
-def test_dyadic_add_identity(n):
-    assert dyadic_add(n, 0) == n
-
-
-@given(indices, indices)
-def test_dyadic_add_commutes_and_cancels(n1, n2):
-    assert dyadic_add(n1, n2) == dyadic_add(n2, n1)
-    assert dyadic_add(n1, dyadic_add(n1, n2)) == n2
-
-
-def test_dyadic_add_rejects_bad_input():
-    with pytest.raises(ValueError):
-        dyadic_add(-1, 0)
-    with pytest.raises(ValueError):
-        dyadic_add(MAX_INDEX, 0)
+def test_check_index_rejects_out_of_range():
+    for bad in (-1, MAX_INDEX):
+        with pytest.raises(ValueError, match="a "):
+            translate_block(bad, 0)
+        with pytest.raises(ValueError, match="a "):
+            decompose(bad, MAX_INDEX)
 
 
 def test_delta_block_examples():
@@ -60,25 +34,32 @@ def test_delta_blocks_tile(K):
 
 @given(indices)
 def test_block_level_inverts(n):
-    assert n in delta_block(block_level(n))
+    # the block of n is its bit length, as the basis sweep assumes
+    blk = delta_block(n.bit_length())
+    assert blk.lo <= n < blk.hi
 
 
 def test_translate_set_examples():
-    assert translate_set(0, {2, 3}) == {2, 3}
-    assert translate_set(1, {2, 3}) == {2, 3}
-    assert translate_set(6, {0, 1, 2, 3}) == {6, 7, 4, 5}
+    # translation by a carries each block onto one interval
+    assert translate_block(0, 2) == IntInterval(2, 4)
+    assert translate_block(1, 2) == IntInterval(2, 4)
+    # 6 ^ {0, 1, 2, 3} = {6, 7, 4, 5}, block by block
+    assert [translate_block(6, k) for k in (0, 1, 2)] == [
+        IntInterval(6, 7), IntInterval(7, 8), IntInterval(4, 6)
+    ]
 
 
 @given(indices, st.integers(min_value=0, max_value=12))
 def test_translate_is_bijective_on_blocks(a, k):
-    blk = delta_block(k).to_set()
-    image = translate_set(a, blk)
-    assert len(image) == len(blk)
+    # translating the image back by a recovers the block, element for element
+    image = translate_block(a, k)
+    assert image.size == delta_block(k).size
+    assert {a ^ x for x in image.to_set()} == delta_block(k).to_set()
 
 
 @given(indices, st.integers(min_value=0, max_value=12))
 def test_translate_block_matches_elementwise(a, k):
-    expected = translate_set(a, delta_block(k).to_set())
+    expected = {a ^ s for s in delta_block(k).to_set()}
     assert translate_block(a, k).to_set() == expected
 
 
@@ -91,7 +72,6 @@ def test_interval_validation():
         IntInterval(-1, 4)
     iv = IntInterval(2, 5)
     assert iv.size == 3
-    assert list(iv) == [2, 3, 4]
-    assert 4 in iv and 5 not in iv
+    assert iv.to_set() == {2, 3, 4}
     assert iv.overlaps(IntInterval(4, 9))
     assert not iv.overlaps(IntInterval(5, 9))

@@ -139,7 +139,7 @@ def test_scalar_all_singletons_reproduce_parseval():
     assert report.passed
     for rec in report.trials:
         f = random_function((6, rec["trial"], 0), 5, "gaussian-cells")
-        assert rec["lhs"] == pytest.approx(f.norm(2), abs=1e-10)
+        assert rec["lhs"] == pytest.approx(np.sqrt(np.mean(f.values**2)), abs=1e-10)
         assert rec["ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -392,6 +392,14 @@ def test_czd_report():
         {"resolution": -1},
         {"resolution": MAX_RESOLUTION + 1},
         {"lam_halfspan": -1},
+        {"seed": -1},
+        {"policy": "bogus"},
+        {"policy": "sparse-spectrum:0"},
+        {"policy": "sparse-spectrum:x"},
+        {"family": "bogus"},
+        {"rad": "bogus"},
+        {"rad": "mc:0"},
+        {"rad": "mc:"},
     ],
 )
 def test_config_rejects_out_of_range(bad):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshlab.dyadic import IntInterval, delta_block, dyadic_add, translate_block
+from walshlab.dyadic import IntInterval, delta_block, translate_block
 from walshlab.intervals import (
     Decomposition,
     decompose,
-    decompose_prefix,
     family_decompose,
     verify_decomposition,
 )
@@ -17,37 +16,42 @@ def brute_check(dec, a, b):
     """Set-level oracle, independent of `verify_decomposition`."""
     covered = {dec.anchor}
     for j, piece in dec.left:
-        img = {dyadic_add(a, x) for x in piece}
+        img = {a ^ x for x in piece.to_set()}
         assert img == delta_block(j).to_set(), (a, b, j, piece)
         assert not covered & piece.to_set()
         covered |= piece.to_set()
     for i, piece in dec.right:
-        img = {dyadic_add(b, x) for x in piece}
+        img = {b ^ x for x in piece.to_set()}
         assert img == delta_block(i).to_set(), (a, b, i, piece)
         assert not covered & piece.to_set()
         covered |= piece.to_set()
     assert covered == set(range(a, b))
 
 
-def test_prefix_examples():
-    assert decompose_prefix(6) == [(3, IntInterval(0, 4)), (2, IntInterval(4, 6))]
-    assert decompose_prefix(1) == [(1, IntInterval(0, 1))]
-    assert decompose_prefix(16) == [(5, IntInterval(0, 16))]
-
-
 def test_prefix_rejects_zero():
+    # the prefix of b = 0 is empty, so no interval ends there
     with pytest.raises(ValueError):
-        decompose_prefix(0)
+        decompose(0, 0)
+
+
+def test_prefix_examples():
+    # the right pieces of [a, b) are the prefix pieces of [0, b) after a's
+    # piece: [0, 7) splits into [0, 4), [4, 6), [6, 7) onto blocks 3, 2, 1
+    assert decompose(3, 7).right == ((2, IntInterval(4, 6)), (1, IntInterval(6, 7)))
+    assert decompose(5, 7).right == ((1, IntInterval(6, 7)),)
+    assert decompose(0, 6).right == ((2, IntInterval(4, 6)),)
+    assert decompose(0, 1).right == () and decompose(0, 16).right == ()
 
 
 @given(st.integers(1, 1 << 12))
 def test_prefix_pieces_tile_and_translate(b):
-    pieces = decompose_prefix(b)
-    end = 0
-    for i, piece in pieces:
+    # the right pieces of [0, b) are the prefix pieces that follow the first,
+    # [0, 2**k) with k the top digit of b
+    end = 1 << (b.bit_length() - 1)
+    for i, piece in decompose(0, b).right:
         assert piece.lo == end
         end = piece.hi
-        assert {dyadic_add(b, x) for x in piece} == delta_block(i).to_set()
+        assert {b ^ x for x in piece.to_set()} == delta_block(i).to_set()
     assert end == b
 
 
@@ -163,7 +167,7 @@ def ref_decompose(a, b):
         if (b >> k) & 1:
             prefix.append((k + 1, IntInterval(left_end, left_end + (1 << k))))
             left_end += 1 << k
-    m = next(i for i, (_, piece) in enumerate(prefix) if a in piece)
+    m = next(i for i, (_, piece) in enumerate(prefix) if piece.lo <= a < piece.hi)
     k_m = prefix[m][0] - 1
     left = tuple(
         (kappa + 1, translate_block(a, kappa + 1))

@@ -7,20 +7,17 @@ from walshlab.dyadic import IntInterval
 from walshlab.intervals import family_decompose
 from walshlab.lattice import (
     LatticeFunction,
-    LatticePoint,
-    RadElement,
     cz_decompose,
     duality_pairing,
+    lattice_norm,
     lp_radx_norm,
     lp_x_norm,
-    rad_norm,
     rad_norm_values,
     segment_transform,
     segment_transform_adjoint,
     split_at_cells,
     stopping_cells,
     verify_cz,
-    x_l2_norm,
 )
 from walshlab.operators import block_sum_family
 from walshlab.walsh import DyadicFunction, walsh_eval
@@ -37,15 +34,22 @@ def random_family(resolution, count, seed=0):
     return [IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)]
 
 
+def rad_of_points(coords, p, mode="exact", seed=None):
+    """L^p Rademacher norm of the points of l^2(d) in the rows of `coords`: the
+    one cell of `rad_norm_values` over resolution-0 components."""
+    comps = [LatticeFunction(0, [row], 2.0) for row in np.atleast_2d(coords)]
+    return float(rad_norm_values(comps, p, mode, seed)[0])
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
 
 def test_lattice_point_norms():
-    assert LatticePoint([3.0, 4.0], 2).norm() == pytest.approx(5.0)
-    assert LatticePoint([3.0, -4.0], np.inf).norm() == pytest.approx(4.0)
-    assert LatticePoint([1.0, 1.0, 1.0], 1).norm() == pytest.approx(3.0)
+    assert lattice_norm(np.array([3.0, 4.0]), 2) == pytest.approx(5.0)
+    assert lattice_norm(np.array([3.0, -4.0]), np.inf) == pytest.approx(4.0)
+    assert lattice_norm(np.array([1.0, 1.0, 1.0]), 1) == pytest.approx(3.0)
 
 
 def test_lp_x_norm_examples():
@@ -53,9 +57,10 @@ def test_lp_x_norm_examples():
     assert lp_x_norm(f, 2) == pytest.approx(5.0)
     assert lp_x_norm(f, np.inf) == pytest.approx(5.0)
     scalar = random_lattice(5, 1, seed=1)
-    d1 = DyadicFunction(5, scalar.values[:, 0])
+    d1 = scalar.values[:, 0]
     for p in (1, 2, 4):
-        assert lp_x_norm(scalar, p) == pytest.approx(d1.norm(p), abs=1e-12)
+        expected = np.mean(np.abs(d1) ** p) ** (1.0 / p)
+        assert lp_x_norm(scalar, p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_lp_x_norm_monotone_in_p():
@@ -66,23 +71,15 @@ def test_lp_x_norm_monotone_in_p():
         lp_x_norm(f, 0.5)
 
 
-def test_x_l2_norm_examples():
-    x = LatticePoint([3.0, 4.0], 2)
-    assert x_l2_norm([x]) == pytest.approx(5.0)
-    pts = [LatticePoint([3.0], 2), LatticePoint([4.0], 2)]
-    assert x_l2_norm(pts) == pytest.approx(5.0)
-    disjoint = [LatticePoint([3.0, 0.0], 2), LatticePoint([0.0, 4.0], 2)]
-    assert x_l2_norm(disjoint) == pytest.approx(5.0)
-
-
 def test_two_convexity_regimes():
     rng = np.random.default_rng(3)
     violations_high, violations_low = 0, 0
     for _ in range(50):
         for q, counter in ((2.0, "hi"), (3.0, "hi"), (1.2, "lo")):
-            pts = [LatticePoint(rng.standard_normal(4), q) for _ in range(5)]
-            lhs = x_l2_norm(pts)
-            rhs = np.sqrt(sum(pt.norm() ** 2 for pt in pts))
+            pts = rng.standard_normal((5, 4))
+            # lattice norm of the coordinatewise l2 sum vs l2 sum of the norms
+            lhs = lattice_norm(np.sqrt((pts**2).sum(axis=0)), q)
+            rhs = np.sqrt((lattice_norm(pts, q, axis=1) ** 2).sum())
             if lhs > rhs + 1e-12:
                 if q >= 2:
                     violations_high += 1
@@ -93,46 +90,41 @@ def test_two_convexity_regimes():
 
 
 def test_rad_norm_examples():
-    single = RadElement((LatticePoint([3.0, -4.0], 2),))
     for p in (1, 2, 4):
-        assert rad_norm(single, p) == pytest.approx(5.0)
-    pair = RadElement((LatticePoint([3.0], 2), LatticePoint([4.0], 2)))
-    assert rad_norm(pair, 2) == pytest.approx(5.0)
+        assert rad_of_points([3.0, -4.0], p) == pytest.approx(5.0)
+    assert rad_of_points([[3.0], [4.0]], 2) == pytest.approx(5.0)
 
 
 @settings(max_examples=30)
 @given(st.integers(0, 10_000))
 def test_rad_norm_sign_and_permutation_invariance(seed):
     rng = np.random.default_rng(seed)
-    pts = [LatticePoint(rng.standard_normal(3), 2) for _ in range(4)]
-    base = rad_norm(RadElement(tuple(pts)), 3)
-    flipped = list(pts)
-    k = int(rng.integers(0, 4))
-    flipped[k] = LatticePoint(-flipped[k].coords, 2)
-    assert rad_norm(RadElement(tuple(flipped)), 3) == pytest.approx(base, abs=1e-10)
-    perm = rng.permutation(4)
-    assert rad_norm(RadElement(tuple(pts[i] for i in perm)), 3) == pytest.approx(
-        base, abs=1e-10
-    )
+    pts = rng.standard_normal((4, 3))
+    base = rad_of_points(pts, 3)
+    flipped = pts.copy()
+    flipped[int(rng.integers(0, 4))] *= -1
+    assert rad_of_points(flipped, 3) == pytest.approx(base, abs=1e-10)
+    assert rad_of_points(pts[rng.permutation(4)], 3) == pytest.approx(base, abs=1e-10)
 
 
 def test_rad_norm_euclidean_at_p2_d1():
     rng = np.random.default_rng(4)
     coords = rng.standard_normal(6)
-    elem = RadElement(tuple(LatticePoint([c], 2) for c in coords))
-    assert rad_norm(elem, 2) == pytest.approx(np.sqrt((coords**2).sum()), abs=1e-10)
+    assert rad_of_points(coords[:, None], 2) == pytest.approx(
+        np.sqrt((coords**2).sum()), abs=1e-10
+    )
 
 
 def test_rad_norm_exact_limit_and_mc():
-    pts = tuple(LatticePoint([1.0], 2) for _ in range(21))
+    pts = np.ones((21, 1))
     with pytest.raises(ValueError):
-        rad_norm(RadElement(pts), 2, "exact")
-    v1 = rad_norm(RadElement(pts), 2, "mc:2000", seed=1)
-    v2 = rad_norm(RadElement(pts), 2, "mc:2000", seed=1)
+        rad_of_points(pts, 2, "exact")
+    v1 = rad_of_points(pts, 2, "mc:2000", seed=1)
+    v2 = rad_of_points(pts, 2, "mc:2000", seed=1)
     assert v1 == v2  # deterministic in the seed
     assert v1 == pytest.approx(np.sqrt(21.0), rel=0.1)
     with pytest.raises(ValueError):
-        rad_norm(RadElement(pts[:2]), 2, "bogus")
+        rad_of_points(pts[:2], 2, "bogus")
 
 
 def test_lp_radx_norm_examples():
@@ -263,7 +255,7 @@ def test_cz_scaling_homogeneity():
     g = random_lattice(5, 2, seed=11)
     lam = float(g.norm_values().mean()) * 1.3
     base = cz_decompose(g, lam)
-    scaled = cz_decompose(3.0 * g, 3.0 * lam)
+    scaled = cz_decompose(LatticeFunction(5, 3.0 * g.values, g.q), 3.0 * lam)
     assert [(c.level, c.position) for c in base.cells] == [
         (c.level, c.position) for c in scaled.cells
     ]

@@ -8,14 +8,15 @@ from walshlab.walsh import (
     DyadicCell,
     DyadicFunction,
     ResolutionError,
-    analyze,
+    analyze_values,
     expectation,
     mart_diff,
     project,
     restrict_rescale,
-    synthesize,
+    synthesize_values,
     walsh_eval,
 )
+from walshlab.lattice import LatticeFunction, lp_x_norm
 
 
 def walsh_by_sines(n, resolution):
@@ -60,49 +61,45 @@ def test_multiplicativity(n1, n2):
 
 
 def test_analyze_unit_spectrum():
-    spec = analyze(walsh_eval(5, 3))
+    coeffs = analyze_values(walsh_eval(5, 3).values)
     expected = np.zeros(8)
     expected[5] = 1.0
-    np.testing.assert_allclose(spec.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(coeffs, expected, atol=1e-12)
 
 
 def test_analyze_constant():
-    spec = analyze(DyadicFunction.constant(2.5, 4))
-    assert spec.coeffs[0] == pytest.approx(2.5, abs=1e-12)
-    np.testing.assert_allclose(spec.coeffs[1:], 0.0, atol=1e-12)
+    coeffs = analyze_values(DyadicFunction.constant(2.5, 4).values)
+    assert coeffs[0] == pytest.approx(2.5, abs=1e-12)
+    np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-12)
 
 
 def test_analyze_matches_naive_inner_products():
     f = random_f(6, seed=3)
     naive = np.stack([walsh_by_sines(n, 6) for n in range(64)]) @ f.values / 64
-    np.testing.assert_allclose(analyze(f).coeffs, naive, atol=1e-10)
+    np.testing.assert_allclose(analyze_values(f.values), naive, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_plancherel(seed):
     f = random_f(10, seed=seed)
-    coeffs = analyze(f).coeffs
+    coeffs = analyze_values(f.values)
     assert abs((coeffs**2).sum() - (f.values**2).mean()) < 1e-10
 
 
 def test_synthesize_unit_and_zero():
     coeffs = np.zeros(16)
     coeffs[7] = 1.0
-    from walshlab.walsh import Spectrum
-
     np.testing.assert_allclose(
-        synthesize(Spectrum(4, coeffs)).values, walsh_eval(7, 4).values, atol=1e-12
+        synthesize_values(coeffs), walsh_eval(7, 4).values, atol=1e-12
     )
-    np.testing.assert_allclose(
-        synthesize(Spectrum(4, np.zeros(16))).values, 0.0, atol=1e-15
-    )
+    np.testing.assert_allclose(synthesize_values(np.zeros(16)), 0.0, atol=1e-15)
 
 
 def test_round_trip_resolution_12():
     f = random_f(12, seed=9)
-    back = synthesize(analyze(f))
-    assert float(np.abs(back.values - f.values).max()) < 1e-10
+    back = synthesize_values(analyze_values(f.values))
+    assert float(np.abs(back - f.values).max()) < 1e-10
 
 
 def test_project_examples():
@@ -256,7 +253,7 @@ def test_restrict_rescale_level_error():
 
 def test_operand_grids_must_match():
     with pytest.raises(ResolutionError):
-        random_f(4) + random_f(5)
+        random_f(4) - random_f(5)
     with pytest.raises(ResolutionError):
         random_f(4) * random_f(5)
 
@@ -264,8 +261,10 @@ def test_operand_grids_must_match():
 def test_norm_and_integral():
     f = DyadicFunction(1, [3.0, -1.0])
     assert f.integral() == pytest.approx(1.0)
-    assert f.norm(1) == pytest.approx(2.0)
-    assert f.norm(2) == pytest.approx(np.sqrt(5.0))
-    assert f.norm(np.inf) == pytest.approx(3.0)
+    # the L^p norms of a scalar function are those of its d = 1 lattice form
+    f1 = LatticeFunction(1, f.values[:, None], 2.0)
+    assert lp_x_norm(f1, 1) == pytest.approx(2.0)
+    assert lp_x_norm(f1, 2) == pytest.approx(np.sqrt(5.0))
+    assert lp_x_norm(f1, np.inf) == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        f.norm(0.5)
+        lp_x_norm(f1, 0.5)
