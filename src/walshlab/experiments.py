@@ -36,7 +36,7 @@ from .lattice import (
     LatticeFunction,
     _adjoint_of_stack,
     _mc_samples,
-    _sign_rows,
+    _sign_averaged_pairing,
     cells_mask,
     cz_decompose,
     duality_pairing,
@@ -298,6 +298,24 @@ def _root_means(powers: np.ndarray, p: float) -> list[float]:
     return [float(m ** (1.0 / p)) for m in np.mean(powers, axis=-1)]
 
 
+def _rescale_overflow(
+    means: list[float], rows: np.ndarray, p: float, root: float = 1.0
+) -> list[float]:
+    """Redo the entries of `_root_means` whose p-th powers overflowed.
+
+    Row k of `rows` holds values whose magnitudes are x ** (1/root).  Where
+    they are finite but the root mean came out infinite, the entry becomes
+    M * mean((x / M) ** p) ** (1/p) with M = max x, which cannot overflow;
+    every other entry is kept as it is.
+    """
+    for k in np.flatnonzero(np.isinf(means)):
+        if np.isfinite(rows[k]).all():
+            x = np.abs(rows[k]) ** root
+            top = x.max()
+            means[k] = float(top * np.mean((x / top) ** p) ** (1.0 / p))
+    return means
+
+
 def _lp(values: np.ndarray, p: float) -> float:
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
 
@@ -383,9 +401,14 @@ def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range) -> list[dict]:
             rows[k] = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy).values
         cases.append(case)
         families.append(intervals)
-    rhs = _root_means(np.abs(rows) ** cfg.p, cfg.p)
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        rhs = _root_means(np.abs(rows) ** cfg.p, cfg.p)
     sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), families)
-    lhs = _root_means(np.ascontiguousarray(sq.T) ** (cfg.p / 2.0), cfg.p)
+    sq = np.ascontiguousarray(sq.T)
+    with np.errstate(over="ignore"):
+        lhs = _root_means(sq ** (cfg.p / 2.0), cfg.p)
+    rhs = _rescale_overflow(rhs, rows, cfg.p)
+    lhs = _rescale_overflow(lhs, sq, cfg.p, 0.5)
     return [
         {"trial": t, "case": case, "lhs": num, "rhs": den, "ratio": _ratio(num, den)}
         for t, case, num, den in zip(ts, cases, lhs, rhs)
@@ -645,14 +668,7 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
         ]
         tf = segment_transform(f, decs)
         rhs = duality_pairing(f, segment_transform_adjoint(gs, decs))
-        count = len(decs)
-        signs = _sign_rows(count, "exact", None)
-        lhs = 0.0
-        for row in signs:
-            tsum = sum(float(row[s]) * tf[s].values for s in range(count))
-            gsum = sum(float(row[s]) * gs[s].values for s in range(count))
-            lhs += float((tsum * gsum).sum(axis=1).mean())
-        lhs /= signs.shape[0]
+        lhs = _sign_averaged_pairing(tf, gs)
         residual = abs(lhs - rhs) / (1.0 + abs(rhs))
         trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "residual": residual})
     worst = _worst(rec["residual"] for rec in trials)

@@ -44,15 +44,20 @@ from .operators import _modulation_columns
 
 EXACT_SIGN_LIMIT = 20
 _SIGN_CHUNK = 1 << 12
+_PAIRING_BUDGET = 1 << 16  # floats per sign-pairing array
 
 
 def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     """l^q norm along `axis` (max for q = inf)."""
+    size = np.abs(np.asarray(coords, dtype=float))
     if q == np.inf:
-        return np.abs(coords).max(axis=axis)
+        return size.max(axis=axis)
     if q < 1:
         raise ValueError(f"lattice exponent must be >= 1, got {q}")
-    return (np.abs(coords) ** q).sum(axis=axis) ** (1.0 / q)
+    size **= q  # in place: the same powers as `size ** q`, with no temporary
+    norms = size.sum(axis=axis)
+    norms **= 1.0 / q
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +104,16 @@ def lp_x_norm(f: LatticeFunction, p: float) -> float:
     return float(np.mean(norms**p) ** (1.0 / p))
 
 
-def _exact_signs(count: int) -> np.ndarray:
-    """All 2**count sign vectors; entry s of row k is -1 iff bit s of k is set."""
-    rows = np.arange(1 << count, dtype=np.int64)
+def _exact_sign_block(count: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the exact sign matrix: entry s of row k is -1 iff
+    bit s of k is set."""
+    rows = np.arange(start, stop, dtype=np.int64)
     signs = 1.0 - 2.0 * ((rows[:, None] >> np.arange(count)) & 1)
     signs.setflags(write=False)
     return signs
 
 
-_cached_exact_signs = lru_cache(maxsize=8)(_exact_signs)
+_cached_sign_block = lru_cache(maxsize=8)(_exact_sign_block)
 
 
 def _mc_samples(mode: str) -> int | None:
@@ -126,19 +132,46 @@ def _mc_samples(mode: str) -> int | None:
     return samples
 
 
-def _sign_rows(count: int, mode: str, seed) -> np.ndarray:
-    """Sign vectors to average over: the full hypercube or a seeded sample."""
+def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
+    """Per-chunk results over the sign vectors of `mode`, and the row count.
+
+    The sign rows (the full hypercube or one seeded sample) are cut into
+    chunks of `rows` rows, a power of two.  `row_values` maps a (K, count)
+    block of sign rows to results with one leading entry per row, and
+    `reduce` maps the row results of one whole chunk, C-contiguous and in
+    row order, to that chunk's entry of the returned list.
+
+    Exact mode evaluates only half of the 2**count rows.  Row 2**count-1-k
+    is the negation of row k, and `row_values` must give a row and its
+    negation bitwise-equal results, so chunk C-1-c is chunk c reversed, and
+    a lone chunk ends with its first half reversed.  Exact rows are built
+    per chunk from their indices; the whole sign matrix is never held.
+    """
     samples = _mc_samples(mode)
-    if samples is None:
-        if count > EXACT_SIGN_LIMIT:
-            raise ValueError(
-                f"exact signs support a component count of at most "
-                f"{EXACT_SIGN_LIMIT}, got {count}; use an mc:<samples> mode"
-            )
-        # beyond 14 components the matrix is too big to keep cached
-        return (_cached_exact_signs if count <= 14 else _exact_signs)(count)
-    rng = np.random.default_rng(seed)
-    return 1.0 - 2.0 * rng.integers(0, 2, size=(samples, count)).astype(float)
+    if samples is not None:
+        draws = np.random.default_rng(seed).integers(0, 2, size=(samples, count))
+        signs = 1.0 - 2.0 * draws.astype(float)
+        partials = [
+            reduce(row_values(signs[start : start + rows]))
+            for start in range(0, samples, rows)
+        ]
+        return partials, samples
+    if count > EXACT_SIGN_LIMIT:
+        raise ValueError(
+            f"exact signs support a component count of at most "
+            f"{EXACT_SIGN_LIMIT}, got {count}; use an mc:<samples> mode"
+        )
+    total = 1 << count
+    if total <= rows:
+        half = row_values(_cached_sign_block(count, 0, total // 2))
+        return [reduce(np.concatenate([half, half[::-1]]))], total
+    chunks = total // rows
+    partials = [None] * chunks
+    for c in range(chunks // 2):
+        vals = row_values(_exact_sign_block(count, c * rows, (c + 1) * rows))
+        partials[c] = reduce(vals)
+        partials[chunks - 1 - c] = reduce(np.ascontiguousarray(vals[::-1]))
+    return partials, total
 
 
 def _stacked(components: Sequence[LatticeFunction]) -> np.ndarray:
@@ -161,20 +194,25 @@ def rad_norm_values(
     """Per-cell L^p Rademacher-average norms of a component family.
 
     Sign enumeration is chunked so exact mode stays memory-safe up to the
-    component limit.
+    component limit; the p-th powers add up one chunk at a time, in row order.
     """
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     stacked = _stacked(components)
     q = components[0].q
-    signs = _sign_rows(stacked.shape[0], mode, seed)
-    cells = stacked.shape[1]
-    acc = np.zeros(cells)
-    for start in range(0, signs.shape[0], _SIGN_CHUNK):
-        chunk = signs[start : start + _SIGN_CHUNK]
-        sums = np.einsum("ks,scd->kcd", chunk, stacked)
-        acc += (lattice_norm(sums, q, axis=2) ** p).sum(axis=0)
-    return (acc / signs.shape[0]) ** (1.0 / p)
+
+    def powers(signs):
+        norms = lattice_norm(np.einsum("ks,scd->kcd", signs, stacked), q, axis=2)
+        norms **= p
+        return norms
+
+    partials, total = _sign_chunks(
+        stacked.shape[0], mode, seed, powers, lambda vals: vals.sum(axis=0)
+    )
+    acc = np.zeros(stacked.shape[1])
+    for part in partials:
+        acc += part
+    return (acc / total) ** (1.0 / p)
 
 
 def lp_radx_norm(
@@ -186,6 +224,38 @@ def lp_radx_norm(
     """L^p norm in x of the cellwise Rademacher-average norm."""
     cell_norms = rad_norm_values(components, p, mode, seed)
     return float(np.mean(cell_norms**p) ** (1.0 / p))
+
+
+def _sign_averaged_pairing(
+    left: Sequence[LatticeFunction], right: Sequence[LatticeFunction]
+) -> float:
+    """Average over all exact signs e of the pairing of sum_s e_s left_s with
+    sum_s e_s right_s.
+
+    Each sign row's pairing is a Python float, folded in row order.
+    """
+    a, b = _stacked(left), _stacked(right)  # (S, cells, d) each
+
+    def pairings(signs):
+        asum = np.zeros(signs.shape[:1] + a.shape[1:])
+        bsum = np.zeros_like(asum)
+        for s in range(a.shape[0]):
+            col = signs[:, s, None, None]
+            asum += col * a[s]
+            bsum += col * b[s]
+        return (asum * bsum).sum(axis=2).mean(axis=1)
+
+    # the largest power of two of rows whose (rows, cells, d) arrays fit the budget
+    fit = min(_SIGN_CHUNK, max(1, _PAIRING_BUDGET // a[0].size))
+    rows = 1 << (fit.bit_length() - 1)
+    partials, total = _sign_chunks(
+        a.shape[0], "exact", None, pairings, lambda vals: vals, rows
+    )
+    acc = 0.0
+    for part in partials:
+        for value in part.tolist():
+            acc += value
+    return acc / total
 
 
 def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,16 @@ def test_adjoint_subcommand(capsys):
         "--count", "3",
     )
     assert code == 0
+
+
+def test_scalar_large_p_stays_finite(capsys):
+    # the spike probe's 16 ** 400 overflows float64; the ratio must not
+    code, out = run_cli(capsys, "scalar", "--p", "400", "--resolution", "4")
+    assert code == 0
+    summary = json.loads(out.strip().split("\n")[-1])["summary"]
+    (check,) = summary["asserted"]
+    assert check["name"] == "ratios finite" and check["passed"]
+    assert math.isfinite(check["worst"]) and math.isfinite(summary["max"])
 
 
 def test_unknown_command_rejected():

@@ -137,6 +137,14 @@ def test_lp_radx_norm_examples():
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("norm", [rad_norm_values, lp_radx_norm])
+def test_rad_norms_refuse_non_finite_exponent(norm, p):
+    comps = [random_lattice(3, 2, seed=30 + s) for s in range(3)]
+    with pytest.raises(ValueError, match="finite"):
+        norm(comps, p)
+
+
 def test_kahane_contraction_equality_for_unimodular_multipliers():
     comps = [random_lattice(5, 2, seed=20 + s) for s in range(3)]
     twisted = [
