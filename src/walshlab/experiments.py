@@ -43,6 +43,7 @@ from .lattice import (
     lp_radx_norm,
     lp_x_norm,
     rad_norm_values,
+    root_means,
     segment_transform,
     segment_transform_adjoint,
     split_at_cells,
@@ -289,42 +290,12 @@ def _sq_sum_of_projections(values: np.ndarray, intervals) -> np.ndarray:
     return acc
 
 
-def _root_means(powers: np.ndarray, p: float) -> list[float]:
-    """(row mean) ** (1/p) for each row of a trial-major (T, cells) array.
-
-    The mean runs along the contiguous last axis, which sums each row
-    exactly as the mean of that row alone would.
-    """
-    return [float(m ** (1.0 / p)) for m in np.mean(powers, axis=-1)]
-
-
-def _rescale_overflow(
-    means: list[float], rows: np.ndarray, p: float, root: float = 1.0
-) -> list[float]:
-    """Redo the entries of `_root_means` whose p-th powers overflowed.
-
-    Row k of `rows` holds values whose magnitudes are x ** (1/root).  Where
-    they are finite but the root mean came out infinite, the entry becomes
-    M * mean((x / M) ** p) ** (1/p) with M = max x, which cannot overflow;
-    every other entry is kept as it is.
-    """
-    for k in np.flatnonzero(np.isinf(means)):
-        if np.isfinite(rows[k]).all():
-            x = np.abs(rows[k]) ** root
-            top = x.max()
-            means[k] = float(top * np.mean((x / top) ** p) ** (1.0 / p))
-    return means
-
-
-def _lp(values: np.ndarray, p: float) -> float:
-    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-
-
 def _ratio(num: float, den: float) -> float:
-    """num / den, or 0.0 over a zero denominator; NaN in, NaN out."""
-    if den > 0 or math.isnan(den):
-        return num / den
-    return math.nan if math.isnan(num) else 0.0
+    """num / den, or 0.0 over a zero denominator; NaN when either side is NaN
+    or infinite, so an overflowed norm cannot read as a finite ratio."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.nan
+    return num / den if den > 0 else 0.0
 
 
 def _worst(values, start: float = 0.0) -> float:
@@ -374,10 +345,28 @@ def _summarize(trials: list[dict], key: str = "ratio") -> dict:
     }
 
 
-def _finish(cfg, trials, summary, asserted) -> RatioReport:
-    summary["asserted"] = asserted
-    passed = all(a["passed"] for a in asserted)
-    return RatioReport(cfg.to_dict(), trials, summary, passed)
+def _bounded(name: str, worst: float, bound: float) -> dict:
+    """Asserted check: the worst value is at most `bound`, up to ASSERT_TOL."""
+    return {"name": name, "passed": worst <= bound + ASSERT_TOL, "worst": worst}
+
+
+def _finite(worst: float) -> dict:
+    """Asserted check where no bound is pinned: the worst ratio is finite."""
+    return {"name": "ratios finite", "passed": math.isfinite(worst), "worst": worst}
+
+
+def _report(cfg, trials, checks, key="ratio", **extra) -> RatioReport:
+    """The report of a campaign: the distribution of `key` over the trials,
+    then each `extra` entry that is not None, then the asserted checks; it
+    passes iff every check does."""
+    summary = _summarize(trials, key)
+    summary.update((name, value) for name, value in extra.items() if value is not None)
+    summary["asserted"] = checks
+    return RatioReport(cfg.to_dict(), trials, summary, all(c["passed"] for c in checks))
+
+
+def _regime(p: float) -> str | None:
+    return "p<2 report-only" if p < 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +390,9 @@ def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range) -> list[dict]:
             rows[k] = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy).values
         cases.append(case)
         families.append(intervals)
-    with np.errstate(over="ignore"):  # overflowed rows are redone below
-        rhs = _root_means(np.abs(rows) ** cfg.p, cfg.p)
+    rhs = root_means(np.abs(rows), cfg.p, cfg.p).tolist()
     sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), families)
-    sq = np.ascontiguousarray(sq.T)
-    with np.errstate(over="ignore"):
-        lhs = _root_means(sq ** (cfg.p / 2.0), cfg.p)
-    rhs = _rescale_overflow(rhs, rows, cfg.p)
-    lhs = _rescale_overflow(lhs, sq, cfg.p, 0.5)
+    lhs = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
     return [
         {"trial": t, "case": case, "lhs": num, "rhs": den, "ratio": _ratio(num, den)}
         for t, case, num, den in zip(ts, cases, lhs, rhs)
@@ -427,23 +411,11 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     for chunk in column_chunks(cfg.trials, 1 << cfg.resolution):
         trials += _scalar_chunk(cfg, probes, range(chunk.start, chunk.stop))
     worst = _worst(rec["ratio"] for rec in trials)
-    summary = _summarize(trials)
-    asserted = []
     if cfg.p == 2:
-        asserted.append(
-            {
-                "name": "ratio<=1 at p=2",
-                "passed": worst <= 1.0 + ASSERT_TOL,
-                "worst": worst,
-            }
-        )
-    elif cfg.p > 2:
-        asserted.append(
-            {"name": "ratios finite", "passed": bool(np.isfinite(worst)), "worst": worst}
-        )
+        checks = [_bounded("ratio<=1 at p=2", worst, 1.0)]
     else:
-        summary["regime"] = "p<2 report-only"
-    return _finish(cfg, trials, summary, asserted)
+        checks = [_finite(worst)] if cfg.p > 2 else []
+    return _report(cfg, trials, checks, regime=_regime(cfg.p))
 
 
 def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
@@ -464,16 +436,9 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
         trials.append({"trial": t, "ratio": ratio, "excess": excess})
     worst_ratio = _worst(rec["ratio"] for rec in trials)
     worst_excess = _worst((rec["excess"] for rec in trials), -np.inf)
-    summary = _summarize(trials)
-    summary["worst_excess"] = worst_excess
-    asserted = [
-        {
-            "name": "pointwise sharp <= rms maximal (constant 1)",
-            "passed": worst_ratio <= 1.0 + ASSERT_TOL and worst_excess <= ASSERT_TOL,
-            "worst": worst_ratio,
-        }
-    ]
-    return _finish(cfg, trials, summary, asserted)
+    check = _bounded("pointwise sharp <= rms maximal (constant 1)", worst_ratio, 1.0)
+    check["passed"] &= worst_excess <= ASSERT_TOL
+    return _report(cfg, trials, [check], worst_excess=worst_excess)
 
 
 def _vector_chunk(cfg: ExperimentConfig, ts: range) -> list[dict]:
@@ -485,13 +450,15 @@ def _vector_chunk(cfg: ExperimentConfig, ts: range) -> list[dict]:
     families = [_family_for_trial(cfg, t) for t in ts]
     values = np.stack([f.values for f in fs], axis=1)  # (cells, T, d)
     comps = [[] for _ in ts]
+    sq = np.zeros(values.shape[:2])  # scalar square function at d = 1
     for s, proj in enumerate(_interval_projections(values, families)):
         for k, family in enumerate(families):
             if s < len(family):
                 comps[k].append(LatticeFunction(cfg.resolution, proj[:, k], cfg.q))
+        if cfg.dim == 1:
+            sq += np.square(proj[:, :, 0])
     if cfg.dim == 1:
-        sq = _sq_sum_of_projections(values[:, :, 0], families)
-        scalars = _root_means(np.ascontiguousarray(sq.T) ** (cfg.p / 2.0), cfg.p)
+        scalars = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
     records = []
     for k, t in enumerate(ts):
         lhs = lp_radx_norm(comps[k], cfg.p, cfg.rad, seed=[cfg.seed, t, 2])
@@ -516,23 +483,11 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     for chunk in column_chunks(cfg.trials, (cfg.count * cfg.dim) << cfg.resolution):
         trials += _vector_chunk(cfg, range(chunk.start, chunk.stop))
     worst = _worst(rec["ratio"] for rec in trials)
-    summary = _summarize(trials)
-    asserted = []
     if cfg.p == 2 and cfg.q == 2 and cfg.rad == "exact":
-        asserted.append(
-            {
-                "name": "ratio<=1 at p=q=2 exact signs",
-                "passed": worst <= 1.0 + ASSERT_TOL,
-                "worst": worst,
-            }
-        )
+        check = _bounded("ratio<=1 at p=q=2 exact signs", worst, 1.0)
     else:
-        asserted.append(
-            {"name": "ratios finite", "passed": bool(np.isfinite(worst)), "worst": worst}
-        )
-    if cfg.p < 2:
-        summary["regime"] = "p<2 report-only"
-    return _finish(cfg, trials, summary, asserted)
+        check = _finite(worst)
+    return _report(cfg, trials, [check], regime=_regime(cfg.p))
 
 
 def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
@@ -571,21 +526,11 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
         rhs = lp_x_norm(rhs_fun, cfg.p)
         trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)})
     worst = _worst(rec["ratio"] for rec in trials)
-    summary = _summarize(trials)
-    asserted = []
     if cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero:
-        asserted.append(
-            {
-                "name": "square function contracts at p=2, d=1, mean zero",
-                "passed": worst <= 1.0 + ASSERT_TOL,
-                "worst": worst,
-            }
-        )
+        check = _bounded("square function contracts at p=2, d=1, mean zero", worst, 1.0)
     else:
-        asserted.append(
-            {"name": "ratios finite", "passed": bool(np.isfinite(worst)), "worst": worst}
-        )
-    return _finish(cfg, trials, summary, asserted)
+        check = _finite(worst)
+    return _report(cfg, trials, [check])
 
 
 def run_weak11(cfg: ExperimentConfig) -> RatioReport:
@@ -638,16 +583,8 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
             {"trial": t, "ratio": _worst(weak), "support_excess": _worst(excess)}
         )
     worst_excess = _worst(rec["support_excess"] for rec in trials)
-    summary = _summarize(trials)
-    summary["worst_support_excess"] = worst_excess
-    asserted = [
-        {
-            "name": "adjoint of bad part supported on stopping cells",
-            "passed": worst_excess <= ASSERT_TOL,
-            "worst": worst_excess,
-        }
-    ]
-    return _finish(cfg, trials, summary, asserted)
+    check = _bounded("adjoint of bad part supported on stopping cells", worst_excess, 0.0)
+    return _report(cfg, trials, [check], worst_support_excess=worst_excess)
 
 
 def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
@@ -672,15 +609,7 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
         residual = abs(lhs - rhs) / (1.0 + abs(rhs))
         trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "residual": residual})
     worst = _worst(rec["residual"] for rec in trials)
-    summary = _summarize(trials, key="residual")
-    asserted = [
-        {
-            "name": "adjointness residual",
-            "passed": worst <= ASSERT_TOL,
-            "worst": worst,
-        }
-    ]
-    return _finish(cfg, trials, summary, asserted)
+    return _report(cfg, trials, [_bounded("adjointness residual", worst, 0.0)], "residual")
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +689,8 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
             checks["block_mean_zero"], float(np.abs(g.values.mean(axis=1)).max())
         )
         for p_exp in (2.0, 4.0):
-            gp = float(np.mean(((g.values**2).sum(axis=0)) ** (p_exp / 2)) ** (1 / p_exp))
-            sp = _lp(sharp, p_exp)
+            gp = float(root_means((g.values**2).sum(axis=0)[None], p_exp, p_exp / 2)[0])
+            sp = float(root_means(np.abs(sharp)[None], p_exp, p_exp)[0])
             if sp > 1e-12:
                 norm_ratios.append(gp / sp)
 

@@ -45,6 +45,7 @@ from .operators import _modulation_columns
 EXACT_SIGN_LIMIT = 20
 _SIGN_CHUNK = 1 << 12
 _PAIRING_BUDGET = 1 << 16  # floats per sign-pairing array
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
@@ -58,6 +59,27 @@ def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     norms = size.sum(axis=axis)
     norms **= 1.0 / q
     return norms
+
+
+def root_means(base: np.ndarray, p: float, exponent: float) -> np.ndarray:
+    """mean(base ** exponent) ** (1/p) for each row of a nonnegative (rows, n) array.
+
+    `exponent` is p for magnitudes and p/2 for sums of squares.  A row whose
+    mean of powers overflows, or falls below the smallest normal float while
+    the row is not all zero, is redone as M * mean((x / M) ** p) ** (1/p) with
+    x = base ** (exponent/p) and M = max x; every other row keeps the bits of
+    the plain formula, whose mean along the contiguous last axis sums each row
+    as the mean of that row alone would.
+    """
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        means = np.mean(base**exponent, axis=-1)
+    roots = np.array([m ** (1.0 / p) for m in means])
+    for k in np.flatnonzero(np.isinf(means) | (means < _TINY)):
+        x = base[k] ** (exponent / p)
+        top = x.max()
+        if 0 < top < np.inf:
+            roots[k] = top * np.mean((x / top) ** p) ** (1.0 / p)
+    return roots
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +123,7 @@ def lp_x_norm(f: LatticeFunction, p: float) -> float:
         return float(norms.max())
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
-    return float(np.mean(norms**p) ** (1.0 / p))
+    return float(root_means(norms[None], p, p)[0])
 
 
 def _exact_sign_block(count: int, start: int, stop: int) -> np.ndarray:
@@ -195,24 +217,51 @@ def rad_norm_values(
 
     Sign enumeration is chunked so exact mode stays memory-safe up to the
     component limit; the p-th powers add up one chunk at a time, in row order.
+    A cell whose mean of powers overflows, or falls below the smallest normal
+    float while its components are not all zero, is redone over the same sign
+    rows as M * mean((norm / M) ** p) ** (1/p), with M its largest norm; every
+    other cell keeps its bits.
     """
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     stacked = _stacked(components)
     q = components[0].q
+    if seed is None and _mc_samples(mode) is not None:
+        seed = np.random.SeedSequence().entropy  # one sample for every pass
 
-    def powers(signs):
-        norms = lattice_norm(np.einsum("ks,scd->kcd", signs, stacked), q, axis=2)
-        norms **= p
-        return norms
+    def over_signs(part, finish, reduce):
+        """`_sign_chunks` of `finish(norms)` at the cells of a component stack."""
 
-    partials, total = _sign_chunks(
-        stacked.shape[0], mode, seed, powers, lambda vals: vals.sum(axis=0)
-    )
-    acc = np.zeros(stacked.shape[1])
-    for part in partials:
-        acc += part
-    return (acc / total) ** (1.0 / p)
+        def row_values(signs):
+            return finish(lattice_norm(np.einsum("ks,scd->kcd", signs, part), q, axis=2))
+
+        return _sign_chunks(part.shape[0], mode, seed, row_values, reduce)
+
+    def mean_powers(part, scale=None):
+        def powers(norms):
+            if scale is not None:
+                norms /= scale
+            norms **= p
+            return norms
+
+        partials, total = over_signs(part, powers, lambda vals: vals.sum(axis=0))
+        acc = np.zeros(part.shape[1])
+        for partial in partials:
+            acc += partial
+        return acc / total
+
+    with np.errstate(over="ignore"):  # overflowed cells are redone below
+        means = mean_powers(stacked)
+    out = means ** (1.0 / p)
+    redo = np.flatnonzero(np.isinf(means) | (means < _TINY))
+    redo = redo[stacked[:, redo].any(axis=(0, 2))]  # all-zero cells stay 0
+    if redo.size:
+        part = stacked[:, redo]
+        partials, _ = over_signs(part, lambda norms: norms, lambda vals: vals.max(axis=0))
+        top = np.maximum.reduce(partials)
+        keep = (0 < top) & (top < np.inf)  # a Monte Carlo sample can cancel every sum
+        out[redo[keep]] = top[keep] * mean_powers(part[:, keep], top[keep]) ** (1.0 / p)
+    return out
 
 
 def lp_radx_norm(
@@ -223,7 +272,7 @@ def lp_radx_norm(
 ) -> float:
     """L^p norm in x of the cellwise Rademacher-average norm."""
     cell_norms = rad_norm_values(components, p, mode, seed)
-    return float(np.mean(cell_norms**p) ** (1.0 / p))
+    return float(root_means(cell_norms[None], p, p)[0])
 
 
 def _sign_averaged_pairing(

@@ -74,6 +74,12 @@ def _ratio(lhs, rhs):
     return lhs / rhs if rhs > 0 else 0.0
 
 
+def _finish(cfg, trials, summary, asserted):
+    summary["asserted"] = asserted
+    passed = all(a["passed"] for a in asserted)
+    return ex.RatioReport(cfg.to_dict(), trials, summary, passed)
+
+
 def _asserted(worst, name=None):
     """The asserted ratio bound `name`, or plain finiteness when there is none."""
     if name:
@@ -115,7 +121,7 @@ def reference_scalar(cfg):
         asserted = _asserted(worst)
     else:
         summary["regime"] = "p<2 report-only"
-    return ex._finish(cfg, trials, summary, asserted)
+    return _finish(cfg, trials, summary, asserted)
 
 
 def reference_pointwise(cfg):
@@ -141,7 +147,7 @@ def reference_pointwise(cfg):
             "worst": worst_ratio,
         }
     ]
-    return ex._finish(cfg, trials, summary, asserted)
+    return _finish(cfg, trials, summary, asserted)
 
 
 def reference_vector(cfg):
@@ -174,7 +180,7 @@ def reference_vector(cfg):
     asserted = _asserted(worst, "ratio<=1 at p=q=2 exact signs" if exact_p2 else None)
     if cfg.p < 2:
         summary["regime"] = "p<2 report-only"
-    return ex._finish(cfg, trials, summary, asserted)
+    return _finish(cfg, trials, summary, asserted)
 
 
 def _segment_blocks(values, levels, resolution):
@@ -247,7 +253,7 @@ def reference_weak11(cfg):
             "worst": worst,
         }
     ]
-    return ex._finish(cfg, trials, summary, asserted)
+    return _finish(cfg, trials, summary, asserted)
 
 
 def reference_adjoint(cfg):
@@ -275,7 +281,7 @@ def reference_adjoint(cfg):
     worst = max([0.0] + [rec["residual"] for rec in trials])
     summary = ex._summarize(trials, key="residual")
     asserted = [{"name": "adjointness residual", "passed": worst <= ex.ASSERT_TOL, "worst": worst}]
-    return ex._finish(cfg, trials, summary, asserted)
+    return _finish(cfg, trials, summary, asserted)
 
 
 def reference_basis_sweep(resolution, max_intervals, spot_checks, seed):

@@ -130,6 +130,27 @@ def test_scalar_large_p_stays_finite(capsys):
     assert math.isfinite(check["worst"]) and math.isfinite(summary["max"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma", "--p", "1000", "--resolution", "4", "--trials", "20", "--dim", "1"),
+        ("vector", "--p", "1000", "--resolution", "4", "--trials", "20"),
+        ("vector", "--p", "700", "--resolution", "4", "--trials", "20", "--count", "1"),
+    ],
+    ids=["lemma-p1000", "vector-p1000", "vector-p700-count1"],
+)
+def test_large_p_norms_stay_in_range(capsys, argv):
+    # Gaussian cell values above about 2 overflow |x| ** 1000 in float64
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    *trials, tail = [json.loads(line) for line in out.strip().split("\n")]
+    (check,) = tail["summary"]["asserted"]
+    assert check["name"] == "ratios finite" and check["passed"]
+    assert math.isfinite(check["worst"])
+    for rec in trials:
+        assert 0 < rec["lhs"] < math.inf and 0 < rec["rhs"] < math.inf, rec
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

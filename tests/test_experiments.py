@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -10,6 +11,7 @@ from walshlab.dyadic import IntInterval, delta_block
 from walshlab.experiments import (
     ASSERT_TOL,
     MAX_RESOLUTION,
+    RUNNERS,
     ExperimentConfig,
     _family_for_trial,
     _scalar_probes,
@@ -318,6 +320,37 @@ def test_report_determinism():
     assert other != text1
 
 
+# sha256 of report_json_lines(..., timestamp="") at seed 4, for the verdict
+# branches the perfbench digests do not reach
+GOLDEN_REPORTS = [
+    (
+        dict(kind="scalar", resolution=5, trials=30, p=1.5),
+        "e8666f623e722937597c665042ed7ddb3e831f4e06894b2aab540f9c17e0f814",
+    ),
+    (
+        dict(kind="vector", resolution=5, trials=20, p=1.5, dim=1, rad="mc:32"),
+        "c9b52ad050871f579e95f7ae53ddc4b5b660683006f595d94337585667f78da3",
+    ),
+    (
+        dict(kind="lemma", resolution=5, trials=20, p=2.0, dim=1, mean_zero=False),
+        "abb99235f730278d39f1b732693253db0f16b1644dab983f2c541d4ba573bb23",
+    ),
+    (
+        dict(kind="scalar", resolution=5, trials=30, p=2.0, probes=False),
+        "d74ae980e978ebc463da6e6237e21e1197f6fe4dafc1ad5cf8da6e1e63812ae9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, digest", GOLDEN_REPORTS, ids=[f"{f['kind']}-p{f['p']}" for f, _ in GOLDEN_REPORTS]
+)
+def test_golden_report_digest(fields, digest):
+    cfg = ExperimentConfig(seed=4, **fields)
+    text = report_json_lines(RUNNERS[cfg.kind](cfg), timestamp="")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_report_formats():
     cfg = ExperimentConfig(kind="scalar", resolution=5, trials=4, seed=0, p=2)
     report = run_scalar_lpr(cfg)
@@ -485,6 +518,8 @@ def test_nan_denominator_stays_nan():
     assert np.isnan(_ratio(1.0, float("nan")))
     assert np.isnan(_ratio(float("nan"), 0.0))
     assert _ratio(1.0, 0.0) == 0.0
+    # an overflowed norm must not read as a finite ratio
+    assert np.isnan(_ratio(1.0, np.inf)) and np.isnan(_ratio(np.inf, 1.0))
     assert np.isnan(_worst([0.5, float("nan"), 2.0]))
     assert _worst([0.5, 2.0]) == 2.0
     assert _worst([], -np.inf) == -np.inf

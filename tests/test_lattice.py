@@ -13,6 +13,7 @@ from walshlab.lattice import (
     lp_radx_norm,
     lp_x_norm,
     rad_norm_values,
+    root_means,
     segment_transform,
     segment_transform_adjoint,
     split_at_cells,
@@ -143,6 +144,70 @@ def test_rad_norms_refuse_non_finite_exponent(norm, p):
     comps = [random_lattice(3, 2, seed=30 + s) for s in range(3)]
     with pytest.raises(ValueError, match="finite"):
         norm(comps, p)
+
+
+@pytest.mark.parametrize("squares", [False, True])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 8.0])
+def test_root_means_keep_the_plain_bits(p, squares):
+    # magnitudes are raised to p, sums of squares to p/2
+    base = np.abs(np.random.default_rng(7).standard_normal((6, 64)))
+    if squares:
+        base = base**2 + base[::-1] ** 2
+    exponent = p / 2.0 if squares else p
+    plain = [float(np.mean(row**exponent) ** (1.0 / p)) for row in base]
+    assert root_means(base, p, exponent).tolist() == plain
+
+
+def test_root_means_redo_rows_out_of_float_range():
+    p = 1000.0
+    base = np.array(
+        [
+            [2e3, 1e3, 0.0, 5e2],  # 2e3 ** 1000 overflows
+            [1e-3, 2e-3, 1e-3, 0.0],  # 2e-3 ** 1000 underflows to 0
+            [1.0, 0.5, 0.25, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [np.inf, 1.0, 1.0, 1.0],
+            [np.nan, 1.0, 1.0, 1.0],
+        ]
+    )
+    for exponent, rows in ((p, base), (p / 2, base**2)):
+        out = root_means(rows, p, exponent)
+        # the largest entry dominates the mean of the four powers
+        assert out[0] == pytest.approx(2e3 * 0.25 ** (1 / p), rel=1e-12)
+        assert out[1] == pytest.approx(2e-3 * 0.25 ** (1 / p), rel=1e-12)
+        assert out[2] == float(np.mean(rows[2] ** exponent) ** (1 / p))
+        assert out[3] == 0.0 and out[4] == np.inf and np.isnan(out[5])
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc:64"])
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_rad_norms_redo_cells_out_of_float_range(mode, scale):
+    p = 200.0
+    comps = [random_lattice(3, 2, seed=40 + s) for s in range(5)]
+    unit = rad_norm_values(comps, p, mode, seed=9)
+    # scaling cell 2 takes its p-th powers out of range, and only its own
+    factor = np.where(np.arange(8) == 2, scale, 1.0)[:, None]
+    scaled = [LatticeFunction(3, c.values * factor, 2.0) for c in comps]
+    out = rad_norm_values(scaled, p, mode, seed=9)
+    assert out[2] == pytest.approx(scale * unit[2], rel=1e-12)
+    others = np.arange(8) != 2
+    assert out[others].tolist() == unit[others].tolist()
+
+
+def test_rad_norms_redo_over_one_unseeded_sample(monkeypatch):
+    import walshlab.lattice as lattice
+
+    seeds, sign_chunks = [], lattice._sign_chunks
+
+    def spy(count, mode, seed, *rest):
+        seeds.append(seed)
+        return sign_chunks(count, mode, seed, *rest)
+
+    monkeypatch.setattr(lattice, "_sign_chunks", spy)
+    comps = [LatticeFunction(0, [[1e3 * (s + 1)]], 2.0) for s in range(3)]
+    out = rad_norm_values(comps, 1000.0, "mc:16")
+    assert len(seeds) == 3 and seeds[0] is not None and len(set(seeds)) == 1
+    assert np.isfinite(out).all()
 
 
 def test_kahane_contraction_equality_for_unimodular_multipliers():
