@@ -49,16 +49,36 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
-    """l^q norm along `axis` (max for q = inf)."""
-    size = np.abs(np.asarray(coords, dtype=float))
+    """l^q norm along `axis` (max for q = inf).
+
+    A cell whose sum of q-th powers overflows, or falls below the smallest
+    normal float while its coordinates are not all zero, is redone as
+    M * sum((|x| / M) ** q) ** (1/q) with M its largest |coordinate|; every
+    other cell keeps the bits of the plain formula.
+    """
+    coords = np.asarray(coords, dtype=float)
+    size = np.abs(coords)
     if q == np.inf:
         return size.max(axis=axis)
     if q < 1:
         raise ValueError(f"lattice exponent must be >= 1, got {q}")
-    size **= q  # in place: the same powers as `size ** q`, with no temporary
-    norms = size.sum(axis=axis)
+    with np.errstate(over="ignore"):  # overflowed cells are redone below
+        size **= q  # in place: the same powers as `size ** q`, with no temporary
+        norms = np.asarray(size.sum(axis=axis))  # 0-d for a single cell
+    flat = norms.reshape(-1)  # a view: `norms` is a fresh contiguous array
+    redo = None
+    if flat.size and not (_TINY <= flat.min() and flat.max() < np.inf):
+        redo = np.flatnonzero(~(flat >= _TINY) | (flat == np.inf))
     norms **= 1.0 / q
-    return norms
+    if redo is not None:
+        rows = np.moveaxis(coords, axis, -1).reshape(-1, coords.shape[axis])
+        x = np.abs(rows[redo])
+        top = x.max(axis=1)
+        keep = (0 < top) & (top < np.inf)  # zero cells stay 0, NaN and inf stay
+        x = x[keep] / top[keep, None]
+        x **= q
+        flat[redo[keep]] = top[keep] * x.sum(axis=1) ** (1.0 / q)
+    return norms[()]
 
 
 def root_means(base: np.ndarray, p: float, exponent: float) -> np.ndarray:

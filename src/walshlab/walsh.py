@@ -14,8 +14,13 @@ Conventions baked in here:
   integrals (f, w_n) and Parseval reads  sum_n coeff[n]**2 == integral of f**2.
 * ``synthesize_values`` carries no factor; it is the plain expansion sum
   sum_n coeff[n] * w_n, so it inverts ``analyze_values``.
-* The fast transform is the natural-order butterfly composed with a
-  bit-reversal index permutation, O(N * 2**N).
+* The fast transform, O(N * 2**N), gathers the input in bit-reversed
+  index order (the one copy a transform makes) and runs an in-place radix-4
+  butterfly on it, two radix-2 stages fused per pass, an odd N ending with
+  one radix-2 stage.  ``analyze_values`` runs the stages in ascending order
+  (h = 1 .. 2**(N-1)), ``synthesize_values`` in descending order
+  (h = 2**(N-1) .. 1), which equals the natural-order transform followed by
+  the permutation; ``fwht`` is the natural-order transform on a copy.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing
@@ -131,26 +136,68 @@ def bit_reversal(n_bits: int) -> np.ndarray:
     return rev
 
 
+def _check_length(n: int) -> None:
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
+
+
+def _butterfly(a: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Walsh-Hadamard butterfly along axis 0 of a C-contiguous float array, in place.
+
+    Radix-2 stage h maps each pair (lo, hi) = (a[j], a[j + h]) to
+    (lo + hi, lo - hi).  Stages h and 2h are fused: the quarters x0..x3 of
+    each block of 4h cells go through y = (x0+x1, x0-x1, x2+x3, x2-x3) into
+    a scratch buffer and come back as (y0+y2, y1+y3, y0-y2, y1-y3), the same
+    sums in the same order as the two radix-2 stages.  An odd N ends with one
+    radix-2 stage.  Stages run h = 1, 2, .. n/2, or n/2 .. 1 if `descending`,
+    where stage 2h comes first and x1, x2 trade places.  Stage h on c[rev]
+    is stage n/(2h) on c, so the descending run on c[rev] is bitwise
+    fwht(c)[rev].
+    """
+    n = a.shape[0]
+    trailing = a.shape[1:]
+    scratch = np.empty(a.size)
+    stages = n.bit_length() - 1
+    if descending:
+        fused = [n >> 2 * k + 2 for k in range(stages // 2)]
+        tail = 1
+    else:
+        fused = [1 << 2 * k for k in range(stages // 2)]
+        tail = n >> 1
+    for h in fused:
+        x = a.reshape(n // (4 * h), 4, h, *trailing)
+        x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+        if descending:
+            x1, x2 = x2, x1
+        y0, y1, y2, y3 = scratch.reshape(4, *x0.shape)
+        np.add(x0, x1, out=y0)
+        np.subtract(x0, x1, out=y1)
+        np.add(x2, x3, out=y2)
+        np.subtract(x2, x3, out=y3)
+        np.add(y0, y2, out=x0)
+        np.add(y1, y3, out=x1)
+        np.subtract(y0, y2, out=x2)
+        np.subtract(y1, y3, out=x3)
+    if stages % 2:
+        x = a.reshape(n // (2 * tail), 2, tail, *trailing)
+        lo, hi = x[:, 0], x[:, 1]
+        top = scratch[: lo.size].reshape(lo.shape)
+        np.copyto(top, lo)
+        lo += hi
+        np.subtract(top, hi, out=hi)
+    return a
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
     """Natural-order fast Walsh-Hadamard butterfly along axis 0.
 
     out[n] = sum_j values[j] * (-1)**popcount(j & n).  Self-inverse up to the
-    factor 2**N.  Accepts trailing axes and transforms each column.
+    factor 2**N.  Accepts trailing axes and transforms each column; `values`
+    is copied, never modified.
     """
-    a = np.array(values, dtype=float)
-    n = a.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    trailing = a.shape[1:]
-    h = 1
-    while h < n:
-        a = a.reshape(n // (2 * h), 2, h, *trailing)
-        top = a[:, 0].copy()
-        a[:, 0] += a[:, 1]
-        a[:, 1] = top - a[:, 1]
-        a = a.reshape(n, *trailing)
-        h *= 2
-    return a
+    a = np.array(values, dtype=float, order="C")
+    _check_length(a.shape[0])
+    return _butterfly(a)
 
 
 def walsh_eval(n: int, resolution: int) -> DyadicFunction:
@@ -171,18 +218,24 @@ def walsh_eval(n: int, resolution: int) -> DyadicFunction:
     return DyadicFunction(resolution, 1.0 - 2.0 * parity.astype(float))
 
 
+def _reversed_copy(values: np.ndarray) -> np.ndarray:
+    """C-contiguous float copy of `values` in bit-reversed order along axis 0."""
+    n = values.shape[0]
+    _check_length(n)
+    rev = bit_reversal(n.bit_length() - 1)
+    return np.ascontiguousarray(np.asarray(values, dtype=float)[rev])
+
+
 def analyze_values(values: np.ndarray) -> np.ndarray:
     """Paley-ordered Walsh coefficients (f, w_n) of raw cell values (axis 0)."""
-    n = values.shape[0]
-    rev = bit_reversal(int(n).bit_length() - 1)
-    return fwht(np.asarray(values, dtype=float)[rev]) / n
+    a = _butterfly(_reversed_copy(values))
+    a /= a.shape[0]
+    return a
 
 
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
     """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
-    n = coeffs.shape[0]
-    rev = bit_reversal(int(n).bit_length() - 1)
-    return fwht(coeffs)[rev]
+    return _butterfly(_reversed_copy(coeffs), descending=True)
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:

@@ -104,6 +104,15 @@ def test_czd_subcommand(capsys):
     assert payload["config"]["lam"] == 2.0
 
 
+def test_czd_large_q_norm_stays_finite(capsys):
+    # |x| ** 1000 overflows the lattice norms; an infinite L^1 norm would
+    # pass every bound compared against it
+    code, out = run_cli(capsys, "czd", "--lambda", "1", "--q", "1000", "--resolution", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert 0 < payload["l1_norm"] < math.inf
+
+
 def test_env_var_seed(monkeypatch, capsys):
     monkeypatch.setenv("LPR_SEED", "77")
     code, out = run_cli(capsys, "scalar", "--resolution", "5", "--trials", "3")
@@ -136,11 +145,14 @@ def test_scalar_large_p_stays_finite(capsys):
         ("lemma", "--p", "1000", "--resolution", "4", "--trials", "20", "--dim", "1"),
         ("vector", "--p", "1000", "--resolution", "4", "--trials", "20"),
         ("vector", "--p", "700", "--resolution", "4", "--trials", "20", "--count", "1"),
+        ("vector", "--q", "1000", "--resolution", "4", "--trials", "5", "--dim", "2"),
+        ("lemma", "--q", "1000", "--resolution", "4", "--trials", "5", "--dim", "3"),
     ],
-    ids=["lemma-p1000", "vector-p1000", "vector-p700-count1"],
+    ids=["lemma-p1000", "vector-p1000", "vector-p700-count1", "vector-q1000", "lemma-q1000"],
 )
 def test_large_p_norms_stay_in_range(capsys, argv):
-    # Gaussian cell values above about 2 overflow |x| ** 1000 in float64
+    # Gaussian cell values above about 2 overflow |x| ** 1000 in float64,
+    # as L^p means for a large p and as lattice norms for a large q
     code, out = run_cli(capsys, *argv)
     assert code == 0
     *trials, tail = [json.loads(line) for line in out.strip().split("\n")]

@@ -1,7 +1,8 @@
 """The benchmark's recorded report digests, checked in the unit suite.
 
 Runs the tiny-scale steps of every `perfbench` workload for seeds 0-3, and
-the full-scale `rad-exact` step at seed 0, against `perfbench/digests.json`,
+the full-scale `rad-exact` and `wide-n18` steps at seed 0 (N = 18, the
+resolution the tiny scale does not reach), against `perfbench/digests.json`,
 so that a change to any reported bit fails here without a benchmark run.
 Nothing under `perfbench/` is written.
 """
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 CASES = [("tiny", w, seed) for w in workloads.WORKLOADS for seed in range(4)]
-CASES.append(("full", "rad-exact", 0))
+CASES += [("full", "rad-exact", 0), ("full", "wide-n18", 0)]
 
 
 @pytest.mark.parametrize("scale, workload, seed", CASES)

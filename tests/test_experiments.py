@@ -339,6 +339,23 @@ GOLDEN_REPORTS = [
         dict(kind="scalar", resolution=5, trials=30, p=2.0, probes=False),
         "d74ae980e978ebc463da6e6237e21e1197f6fe4dafc1ad5cf8da6e1e63812ae9",
     ),
+    # odd resolutions, which end the Walsh butterfly with a radix-2 stage
+    (
+        dict(kind="scalar", resolution=7, trials=20, p=3.0),
+        "497e196be9057d1027949ccf83288d224fae82ae51275cf8a7ebf487ec7ebc6f",
+    ),
+    (
+        dict(kind="pointwise", resolution=11, trials=4, p=2.0),
+        "15aca9c5c82e72c8552fc96b84bdb1ce7f041eeb5a26b8b972ba9c4d0c5c2491",
+    ),
+    (
+        dict(kind="vector", resolution=5, trials=10, p=2.0, dim=3),
+        "5573a70b449ebafa32813e90211f6c088a2d6a87d327e07dbb0f3cc74b9c74c2",
+    ),
+    (
+        dict(kind="adjoint", resolution=7, trials=6, p=2.0, dim=2),
+        "49c45b2defc1cebb20db9d71b2297c45f139c9cd338e06e08169f102a0c7840f",
+    ),
 ]
 
 

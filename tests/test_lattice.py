@@ -53,6 +53,27 @@ def test_lattice_point_norms():
     assert lattice_norm(np.array([1.0, 1.0, 1.0]), 1) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("q", [3.0, 200.0])
+def test_lattice_norms_redo_cells_out_of_float_range(q):
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((4, 6, 3))
+    plain = (np.abs(coords) ** q).sum(axis=2) ** (1.0 / q)
+    coords[1, 2] *= 1e300  # the powers overflow
+    coords[2, 4] *= 1e-300  # the powers underflow, the cell is not zero
+    coords[3, 0] = 0.0
+    coords[0, 5, 1] = np.nan
+    norms = lattice_norm(coords, q, axis=2)
+    for cell, scale in (((1, 2), 1e300), ((2, 4), 1e-300)):
+        assert norms[cell] == pytest.approx(plain[cell] * scale, rel=1e-12)
+    assert norms[3, 0] == 0.0 and np.isnan(norms[0, 5])
+    others = np.ones(plain.shape, dtype=bool)
+    others[1, 2] = others[2, 4] = others[3, 0] = others[0, 5] = False
+    assert norms[others].tobytes() == plain[others].tobytes()
+    # the same cells along another axis, and a single cell
+    assert lattice_norm(coords.transpose(2, 0, 1), q, axis=0).tobytes() == norms.tobytes()
+    assert lattice_norm(coords[1, 2], q) == norms[1, 2]
+
+
 def test_lp_x_norm_examples():
     f = LatticeFunction(3, np.tile([3.0, 4.0], (8, 1)), 2)
     assert lp_x_norm(f, 2) == pytest.approx(5.0)

@@ -9,7 +9,9 @@ from walshlab.walsh import (
     DyadicFunction,
     ResolutionError,
     analyze_values,
+    bit_reversal,
     expectation,
+    fwht,
     mart_diff,
     project,
     restrict_rescale,
@@ -268,3 +270,70 @@ def test_norm_and_integral():
     assert lp_x_norm(f1, np.inf) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         lp_x_norm(f1, 0.5)
+
+
+def radix2_fwht(values):
+    """The radix-2 butterfly the radix-4 one replaced, kept as the reference."""
+    a = np.array(values, dtype=float)
+    n = a.shape[0]
+    trailing = a.shape[1:]
+    h = 1
+    while h < n:
+        a = a.reshape(n // (2 * h), 2, h, *trailing)
+        top = a[:, 0].copy()
+        a[:, 0] += a[:, 1]
+        a[:, 1] = top - a[:, 1]
+        a = a.reshape(n, *trailing)
+        h *= 2
+    return a
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def check_against_radix2(x):
+    """All three transforms of `x`, in whatever layout, bitwise against the
+    radix-2 reference on a contiguous copy; `x` must be left untouched."""
+    n = x.shape[0]
+    rev = bit_reversal(n.bit_length() - 1)
+    before = x.copy()
+    contiguous = np.ascontiguousarray(x)
+    assert_same_bits(fwht(x), radix2_fwht(contiguous))
+    assert_same_bits(analyze_values(x), radix2_fwht(contiguous[rev]) / n)
+    assert_same_bits(synthesize_values(x), radix2_fwht(contiguous)[rev])
+    assert_same_bits(x, before)
+
+
+TRANSFORM_SHAPES = [(n, ()) for n in range(21)] + [
+    (n, trailing) for trailing in ((3,), (2, 3)) for n in range(15)
+]
+
+
+@pytest.mark.parametrize(
+    "resolution, trailing",
+    TRANSFORM_SHAPES,
+    ids=[f"N{n}" + "".join(f"x{k}" for k in t) for n, t in TRANSFORM_SHAPES],
+)
+def test_butterfly_matches_radix2_bitwise(resolution, trailing):
+    rng = np.random.default_rng(resolution)
+    check_against_radix2(rng.standard_normal((1 << resolution, *trailing)))
+
+
+def test_butterfly_accepts_any_input_layout():
+    rng = np.random.default_rng(7)
+    f = random_f(9, seed=7)
+    assert not f.values.flags.writeable
+    check_against_radix2(f.values)
+    stacked = np.asfortranarray(rng.standard_normal((1 << 7, 6, 3)))
+    check_against_radix2(stacked)
+    check_against_radix2(stacked[:, 1:5])
+    check_against_radix2(rng.standard_normal((1 << 7, 9, 2))[:, 2:7])
+
+
+@pytest.mark.parametrize("transform", [fwht, analyze_values, synthesize_values])
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_transforms_refuse_lengths_not_a_power_of_two(transform, length):
+    with pytest.raises(ValueError, match=f"length must be a power of two, got {length}"):
+        transform(np.ones(length))
