@@ -3,7 +3,11 @@
 Every campaign is driven by an `ExperimentConfig` that fully determines the
 run: per-trial generators are seeded by (master seed, trial index, stream),
 so two runs with equal configs produce identical reports and the result does
-not depend on scheduling.
+not depend on scheduling.  A run seeds its keys in batches (`_generators`):
+the SeedSequence and PCG64 states of a batch of keys are computed together,
+and one reused Generator is re-targeted to each key in turn, drawing exactly
+as `rng_for(key)` would.  Each key's draws are therefore used up before the
+next key is taken.
 
 Campaigns separate "asserted" bounds, where the underlying identity pins an
 exact constant (orthogonality at p = 2, the pointwise sharp bound with
@@ -23,8 +27,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -149,6 +155,115 @@ def rng_for(seed, *key) -> np.random.Generator:
 # Seeded generators
 # ---------------------------------------------------------------------------
 
+_SEED_BATCH = 256  # keys whose generator states are computed together
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _key_words(key) -> list[int]:
+    """The SeedSequence entropy of a key: each int as little-endian uint32 words."""
+    words = []
+    for x in key:
+        x = operator.index(x)
+        if x < 0:
+            raise ValueError(f"expected non-negative integer, got {x}")
+        words.append(x & _MASK32)
+        x >>= 32
+        while x:
+            words.append(x & _MASK32)
+            x >>= 32
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for every row of a
+    (keys, words) uint32 array, one uint32 operation across all keys at a time."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x
+        out -= np.uint32(_MIX_MULT_R) * y
+        out ^= out >> 16
+        return out
+
+    keys, width = entropy.shape
+    pool = [
+        hashmix(entropy[:, i] if i < width else np.zeros(keys, np.uint32))
+        for i in range(4)
+    ]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        words.append(value.astype(np.uint64))
+    return np.stack([words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)], 1)
+
+
+def _pcg_states(keys: list):
+    """Yield (state, inc) of `np.random.PCG64(SeedSequence(key))` for each key."""
+    words = [_key_words(key) for key in keys]
+    seeds = np.empty((len(keys), 4), dtype=np.uint64)
+    for width in set(map(len, words)):
+        rows = [i for i, w in enumerate(words) if len(w) == width]
+        seeds[rows] = _seed_states(np.array([words[i] for i in rows], dtype=np.uint32))
+    for w0, w1, w2, w3 in seeds.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _generators(keys):
+    """One generator per key, in key order, each drawing as
+    `np.random.default_rng(list(key))` would.
+
+    Keys are tuples of non-negative ints, read lazily and seeded
+    `_SEED_BATCH` at a time.  Every yield is the same `Generator`, re-targeted
+    to the next key, so a caller must be done drawing from one key before it
+    asks for the next.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    state = {"state": 0, "inc": 0}
+    target = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    keys = iter(keys)
+    while batch := list(itertools.islice(keys, _SEED_BATCH)):
+        for state["state"], state["inc"] in _pcg_states(batch):
+            bitgen.state = target
+            yield rng
+
+
+def _trial_generators(cfg: ExperimentConfig, streams, start: int = 0):
+    """`_generators` of the keys (cfg.seed, t, s): trial t from `start` on,
+    and within a trial each stream s in the given order."""
+    return _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
+
+
+def _rng(seed) -> np.random.Generator:
+    """`seed` itself when it is a Generator, else its fresh `rng_for` generator."""
+    return seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+
 
 def _sparse_arg(policy: str) -> int:
     try:
@@ -168,8 +283,11 @@ def _check_policy(policy: str) -> None:
 
 
 def random_function(seed, resolution: int, policy: str) -> DyadicFunction:
-    """Seeded random grid function; deterministic in (seed, policy)."""
-    rng = rng_for(seed)
+    """Seeded random grid function; deterministic in (seed, policy).
+
+    `seed` is a seed or key for `rng_for`, or a Generator to draw from.
+    """
+    rng = _rng(seed)
     n = 1 << resolution
     if policy == "gaussian-cells":
         return DyadicFunction(resolution, rng.standard_normal(n))
@@ -187,8 +305,9 @@ def random_function(seed, resolution: int, policy: str) -> DyadicFunction:
 def random_lattice_function(
     seed, resolution: int, dim: int, q: float, policy: str
 ) -> LatticeFunction:
-    """Seeded lattice-valued grid function, coordinatewise by policy."""
-    rng = rng_for(seed)
+    """Seeded lattice-valued grid function, coordinatewise by policy; `seed`
+    as in `random_function`."""
+    rng = _rng(seed)
     n = 1 << resolution
     if policy == "gaussian-cells":
         return LatticeFunction(resolution, rng.standard_normal((n, dim)), q)
@@ -207,10 +326,11 @@ def random_lattice_function(
 def random_interval_family(
     seed, resolution: int, count: int, policy: str = "random"
 ) -> list[IntInterval]:
-    """Seeded family of pairwise disjoint index intervals inside [0, 2**N)."""
+    """Seeded family of pairwise disjoint index intervals inside [0, 2**N);
+    `seed` as in `random_function`."""
     if count < 1:
         raise ValueError("need at least one interval")
-    rng = rng_for(seed)
+    rng = _rng(seed)
     size = 1 << resolution
     if policy == "random":
         if 2 * count > size + 1:
@@ -251,10 +371,9 @@ def random_interval_family(
 # ---------------------------------------------------------------------------
 
 
-def _family_for_trial(cfg: ExperimentConfig, t: int) -> list[IntInterval]:
-    return random_interval_family(
-        (cfg.seed, t, 1), cfg.resolution, cfg.count, cfg.family
-    )
+def _family(cfg: ExperimentConfig, rng) -> list[IntInterval]:
+    """The interval family of one trial, drawn from its stream-1 generator."""
+    return random_interval_family(rng, cfg.resolution, cfg.count, cfg.family)
 
 
 def _interval_projections(values: np.ndarray, families):
@@ -374,11 +493,12 @@ def _regime(p: float) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range) -> list[dict]:
+def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range, rngs) -> list[dict]:
     """Trial records of one budgeted chunk of scalar trials.
 
-    Each trial is drawn with its own seeded generators into one row of a
-    trial-major array; the transforms then run on the whole chunk.
+    Each random trial is drawn from the next two generators of `rngs` (its
+    streams 0 and 1) into one row of a trial-major array; the transforms then
+    run on the whole chunk.
     """
     rows = np.empty((len(ts), 1 << cfg.resolution))  # trial-major for the means
     cases, families = [], []
@@ -386,8 +506,9 @@ def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range) -> list[dict]:
         if t < len(probes):
             case, rows[k], intervals = probes[t]
         else:
-            case, intervals = cfg.policy, _family_for_trial(cfg, t)
-            rows[k] = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy).values
+            case = cfg.policy
+            rows[k] = random_function(next(rngs), cfg.resolution, cfg.policy).values
+            intervals = _family(cfg, next(rngs))
         cases.append(case)
         families.append(intervals)
     rhs = root_means(np.abs(rows), cfg.p, cfg.p).tolist()
@@ -407,9 +528,10 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     inequality being false in general there).
     """
     probes = _scalar_probes(cfg.resolution) if cfg.probes else []
+    rngs = _trial_generators(cfg, (0, 1), start=len(probes))
     trials = []
     for chunk in column_chunks(cfg.trials, 1 << cfg.resolution):
-        trials += _scalar_chunk(cfg, probes, range(chunk.start, chunk.stop))
+        trials += _scalar_chunk(cfg, probes, range(chunk.start, chunk.stop), rngs)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2:
         checks = [_bounded("ratio<=1 at p=2", worst, 1.0)]
@@ -424,10 +546,11 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     The bound holds pointwise with constant exactly one; every trial asserts
     it cellwise.
     """
+    rngs = _trial_generators(cfg, (0, 1))
     trials = []
     for t in range(cfg.trials):
-        f = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy)
-        decs = family_decompose(_family_for_trial(cfg, t))
+        f = random_function(next(rngs), cfg.resolution, cfg.policy)
+        decs = family_decompose(_family(cfg, next(rngs)))
         sharp = sharp_maximal(block_sum_family(f, decs)).values
         m2 = rms_maximal(f).values
         excess = float((sharp - m2).max())
@@ -441,13 +564,15 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check], worst_excess=worst_excess)
 
 
-def _vector_chunk(cfg: ExperimentConfig, ts: range) -> list[dict]:
-    """Trial records of one budgeted chunk of vector trials."""
-    fs = [
-        random_lattice_function((cfg.seed, t, 0), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-        for t in ts
-    ]
-    families = [_family_for_trial(cfg, t) for t in ts]
+def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+    """Trial records of one budgeted chunk of vector trials, each trial drawn
+    from the next two generators of `rngs` (its streams 0 and 1)."""
+    fs, families = [], []
+    for _ in ts:
+        fs.append(
+            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+        )
+        families.append(_family(cfg, next(rngs)))
     values = np.stack([f.values for f in fs], axis=1)  # (cells, T, d)
     comps = [[] for _ in ts]
     sq = np.zeros(values.shape[:2])  # scalar square function at d = 1
@@ -478,10 +603,11 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     are reported.  For d = 1 each trial also records the scalar square
     function value so the two formulations can be compared.
     """
+    rngs = _trial_generators(cfg, (0, 1))
     trials = []
     # the budget covers all cfg.count projections a chunk of trials keeps
     for chunk in column_chunks(cfg.trials, (cfg.count * cfg.dim) << cfg.resolution):
-        trials += _vector_chunk(cfg, range(chunk.start, chunk.stop))
+        trials += _vector_chunk(cfg, range(chunk.start, chunk.stop), rngs)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2 and cfg.q == 2 and cfg.rad == "exact":
         check = _bounded("ratio<=1 at p=q=2 exact signs", worst, 1.0)
@@ -498,13 +624,12 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     family, and compares L^p(lattice) norms.  The d = 1, p = 2 mean-zero case
     asserts ratio <= 1; lattice cases are reported.
     """
+    rngs = _trial_generators(cfg, range(cfg.components))
     trials = []
     for t in range(cfg.trials):
         comps = [
-            random_lattice_function(
-                (cfg.seed, t, s), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-            )
-            for s in range(cfg.components)
+            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+            for _ in range(cfg.components)
         ]
         if cfg.mean_zero:
             comps = [
@@ -543,14 +668,14 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     containment is asserted exactly; the weak-type constant
     lam * |{|T*g| > lam}| / ||g||_1 is reported over the grid.
     """
+    # a family holds cfg.count intervals, one component g per interval
+    rngs = _trial_generators(cfg, (1, *range(10, 10 + cfg.count)))
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(_family_for_trial(cfg, t))
+        decs = family_decompose(_family(cfg, next(rngs)))
         gs = [
-            random_lattice_function(
-                (cfg.seed, t, 10 + s), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-            )
-            for s in range(len(decs))
+            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+            for _ in decs
         ]
         tstar = segment_transform_adjoint(gs, decs)
         out_norms = tstar.norm_values()
@@ -591,17 +716,14 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
     """Exact adjointness of the segment transform pair under sign averaging."""
     if cfg.rad != "exact":
         raise ValueError("adjointness requires exact sign mode")
+    rngs = _trial_generators(cfg, (0, 1, *range(10, 10 + cfg.count)))
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(_family_for_trial(cfg, t))
-        f = random_lattice_function(
-            (cfg.seed, t, 0), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-        )
+        f = random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+        decs = family_decompose(_family(cfg, next(rngs)))
         gs = [
-            random_lattice_function(
-                (cfg.seed, t, 10 + s), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-            )
-            for s in range(len(decs))
+            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+            for _ in decs
         ]
         tf = segment_transform(f, decs)
         rhs = duality_pairing(f, segment_transform_adjoint(gs, decs))
@@ -657,11 +779,25 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     }
     norm_ratios = []
     n = 1 << resolution
+    # per trial t the keys (seed, t), (seed, t, 0), (seed, t, 1); then the
+    # function and family of the mean truncation sweep
+    rngs = _generators(
+        itertools.chain(
+            ((seed, t, *s) for t in range(trials) for s in ((), (0,), (1,))),
+            ((seed, trials, 0), (seed, trials, 1)),
+        )
+    )
     for t in range(trials):
-        rng = rng_for((seed, t))
-        f = random_function((seed, t, 0), resolution, "gaussian-cells")
+        # every draw of the key (seed, t), in the order the checks use them
+        rng = next(rngs)
         count = int(rng.integers(1, max_count + 1))
-        intervals = random_interval_family((seed, t, 1), resolution, count)
+        offset = rng.standard_normal(count)  # one per block sum
+        level = int(rng.integers(1, resolution + 1))
+        cell = DyadicCell(level, int(rng.integers(0, 1 << level)))
+        noise = rng.standard_normal(n - (n >> level))  # off the cell
+        a = int(rng.integers(0, n))
+        f = random_function(next(rngs), resolution, "gaussian-cells")
+        intervals = random_interval_family(next(rngs), resolution, count)
         decs = family_decompose(intervals)
 
         for dec in decs:
@@ -695,7 +831,7 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
                 norm_ratios.append(gp / sp)
 
         mean_vec = g.values.mean(axis=1)
-        c = mean_vec + rng.standard_normal(mean_vec.shape)
+        c = mean_vec + offset
         osc_mean = ((g.values - mean_vec[:, None]) ** 2).sum(axis=0).mean()
         osc_c = ((g.values - c[:, None]) ** 2).sum(axis=0).mean()
         checks["mean_subtraction_optimality"] = max(
@@ -715,13 +851,11 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
             checks["telescoping"], float(np.abs(total - f.values).max())
         )
 
-        level = int(rng.integers(1, resolution + 1))
-        cell = DyadicCell(level, int(rng.integers(0, 1 << level)))
         sl = cell.grid_slice(resolution)
         outside = np.ones(n, dtype=bool)
         outside[sl] = False
         perturbed_vals = f.values.copy()
-        perturbed_vals[outside] += rng.standard_normal(int(outside.sum()))
+        perturbed_vals[outside] += noise
         perturbed = DyadicFunction(resolution, perturbed_vals)
         for j in range(cell.level + 1, resolution + 1):
             d_orig = mart_diff(j, f).values[sl]
@@ -735,7 +869,6 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
                 checks["constancy"], float(np.abs(vals - vals[0]).max())
             )
 
-        a = int(rng.integers(0, n))
         m = cell.level
         wa_f = walsh_eval(a, resolution) * f
         f_tilde = restrict_rescale(f, cell)
@@ -750,8 +883,8 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
 
     # mean truncation sweep at a coarse resolution, all dyadic cells
     res6 = min(resolution, 6)
-    f6 = random_function((seed, trials, 0), res6, "gaussian-cells")
-    intervals6 = random_interval_family((seed, trials, 1), res6, 2)
+    f6 = random_function(next(rngs), res6, "gaussian-cells")
+    intervals6 = random_interval_family(next(rngs), res6, 2)
     for dec in family_decompose(intervals6):
         if not dec.left_levels:
             continue

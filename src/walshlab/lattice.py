@@ -45,6 +45,7 @@ from .operators import _modulation_columns
 EXACT_SIGN_LIMIT = 20
 _SIGN_CHUNK = 1 << 12
 _PAIRING_BUDGET = 1 << 16  # floats per sign-pairing array
+_SIGN_SUM_BUDGET = 1 << 20  # floats per (rows, cells, d) array of signed sums
 _TINY = np.finfo(float).tiny  # smallest normal float
 
 
@@ -236,7 +237,9 @@ def rad_norm_values(
     """Per-cell L^p Rademacher-average norms of a component family.
 
     Sign enumeration is chunked so exact mode stays memory-safe up to the
-    component limit; the p-th powers add up one chunk at a time, in row order.
+    component limit, and a chunk's signed sums are made a sub-block of rows
+    at a time once they would exceed `_SIGN_SUM_BUDGET` floats; the p-th
+    powers add up one chunk at a time, in row order.
     A cell whose mean of powers overflows, or falls below the smallest normal
     float while its components are not all zero, is redone over the same sign
     rows as M * mean((norm / M) ** p) ** (1/p), with M its largest norm; every
@@ -252,8 +255,19 @@ def rad_norm_values(
     def over_signs(part, finish, reduce):
         """`_sign_chunks` of `finish(norms)` at the cells of a component stack."""
 
+        def norms(signs):
+            return lattice_norm(np.einsum("ks,scd->kcd", signs, part), q, axis=2)
+
         def row_values(signs):
-            return finish(lattice_norm(np.einsum("ks,scd->kcd", signs, part), q, axis=2))
+            # a row's norms do not depend on the rows beside it, so a chunk
+            # whose sums outgrow the budget is summed a sub-block at a time
+            step = max(1, _SIGN_SUM_BUDGET // part[0].size)
+            if len(signs) <= step:
+                return finish(norms(signs))
+            out = np.empty((len(signs), part.shape[1]))
+            for start in range(0, len(signs), step):
+                out[start : start + step] = norms(signs[start : start + step])
+            return finish(out)
 
         return _sign_chunks(part.shape[0], mode, seed, row_values, reduce)
 

@@ -102,7 +102,7 @@ def reference_scalar(cfg):
         else:
             case = cfg.policy
             values = random_function((cfg.seed, t, 0), n, cfg.policy).values
-            intervals = ex._family_for_trial(cfg, t)
+            intervals = ex._family(cfg, (cfg.seed, t, 1))
         f = DyadicFunction(n, values)
         sq = np.zeros(f.size)
         for iv in intervals:
@@ -128,7 +128,7 @@ def reference_pointwise(cfg):
     trials = []
     for t in range(cfg.trials):
         f = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy)
-        decs = family_decompose(ex._family_for_trial(cfg, t))
+        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
         rows = [block_sum(f, dec.anchor, dec.left_levels).values for dec in decs]
         sharp = sharp_maximal(SeqFunction(cfg.resolution, np.stack(rows))).values
         m2 = rms_maximal(f).values
@@ -155,7 +155,7 @@ def reference_vector(cfg):
     trials = []
     for t in range(cfg.trials):
         f = random_lattice_function((cfg.seed, t, 0), n, cfg.dim, cfg.q, cfg.policy)
-        intervals = ex._family_for_trial(cfg, t)
+        intervals = ex._family(cfg, (cfg.seed, t, 1))
         coeffs = analyze_values(f.values)
         comps = []
         for iv in intervals:
@@ -217,7 +217,7 @@ def reference_weak11(cfg):
     n = cfg.resolution
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(ex._family_for_trial(cfg, t))
+        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
         gs = [
             random_lattice_function((cfg.seed, t, 10 + s), n, cfg.dim, cfg.q, cfg.policy)
             for s in range(len(decs))
@@ -260,7 +260,7 @@ def reference_adjoint(cfg):
     n = cfg.resolution
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(ex._family_for_trial(cfg, t))
+        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
         f = random_lattice_function((cfg.seed, t, 0), n, cfg.dim, cfg.q, cfg.policy)
         gs = [
             random_lattice_function((cfg.seed, t, 10 + s), n, cfg.dim, cfg.q, cfg.policy)

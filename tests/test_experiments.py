@@ -13,13 +13,14 @@ from walshlab.experiments import (
     MAX_RESOLUTION,
     RUNNERS,
     ExperimentConfig,
-    _family_for_trial,
+    _family,
     _scalar_probes,
     random_function,
     random_interval_family,
     random_lattice_function,
     report_csv,
     report_json_lines,
+    rng_for,
     run_adjointness,
     run_lemma_square,
     run_pointwise,
@@ -474,12 +475,21 @@ def test_config_admits_the_largest_benchmarked_grid():
     ExperimentConfig(kind="scalar", resolution=18, q=float("inf"))
 
 
-def _poison(generator, trial):
-    """Wrap a seeded generator so that one trial's first cell value is NaN."""
+def _poison(generator, seed, trial):
+    """Wrap a seeded generator so that one trial's first cell value is NaN.
 
-    def poisoned(seed, *args):
-        out = generator(seed, *args)
-        if tuple(seed)[1] != trial:
+    The runners pass a generator re-targeted to each key (seed, t, stream);
+    a call belongs to the trial when the generator starts in the state of one
+    of that trial's keys.
+    """
+    starts = {
+        rng_for((seed, trial, s)).bit_generator.state["state"]["state"] for s in range(20)
+    }
+
+    def poisoned(rng, *args):
+        hit = rng.bit_generator.state["state"]["state"] in starts
+        out = generator(rng, *args)
+        if not hit:
             return out
         values = out.values.copy()
         values[0] = np.nan
@@ -503,7 +513,7 @@ def test_one_nan_trial_fails_the_run(monkeypatch, kind):
     import walshlab.experiments as ex
 
     extra, generator = NAN_CASES[kind]
-    monkeypatch.setattr(ex, generator, _poison(getattr(ex, generator), 7))
+    monkeypatch.setattr(ex, generator, _poison(getattr(ex, generator), 3, 7))
     cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3, **extra)
     report = ex.RUNNERS[kind](cfg)
     assert not report.passed
@@ -594,7 +604,7 @@ def test_spike_sharp_bound_holds_at_large_resolution(resolution):
     m2 = rms_maximal(f).values
     cfg = ExperimentConfig(kind="pointwise", resolution=resolution, trials=3)
     families = [[IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]]
-    families += [_family_for_trial(cfg, t) for t in range(cfg.trials)]
+    families += [_family(cfg, (cfg.seed, t, 1)) for t in range(cfg.trials)]
     for intervals in families:
         sharp = sharp_maximal(block_sum_family(f, family_decompose(intervals))).values
         assert float((sharp - m2).max()) <= ASSERT_TOL

@@ -4,7 +4,8 @@
 sign rows and mirror the rest; the references below enumerate every row,
 as the code did before, and the results must agree bit for bit.  S >= 13
 spans several 4,096-row chunks, and the pairing is run on grids that cut
-its rows into chunks too.
+its rows into chunks too.  The norm is also run with chunks cut into row
+sub-blocks.
 """
 
 import numpy as np
@@ -88,3 +89,22 @@ def test_pairing_matches_every_row(resolution, dim, counts):
         got = _sign_averaged_pairing(tf, gs)
         want = reference_pairing(tf, gs)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), count
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 256])
+@pytest.mark.parametrize("count", [9, 12, 13])
+def test_rad_norm_values_in_row_sub_blocks(monkeypatch, count, rows):
+    # a budget of `rows` rows of signed sums cuts every chunk into sub-blocks
+    import walshlab.lattice as lattice
+
+    comps = components(count, 3, 3, 3.0, seed=200 + count)
+    monkeypatch.setattr(lattice, "_SIGN_SUM_BUDGET", rows * comps[0].values.size)
+    got = rad_norm_values(comps, 4.0)
+    assert got.tobytes() == reference_rad_norm_values(comps, 4.0).tobytes()
+
+
+def test_rad_norm_values_sub_blocks_at_the_default_budget():
+    # 4,096-row chunks of 512 floats a row outgrow 2**20 floats
+    comps = components(13, 6, 8, 2.0, seed=13)
+    got = rad_norm_values(comps, 2.0)
+    assert got.tobytes() == reference_rad_norm_values(comps, 2.0).tobytes()
