@@ -33,6 +33,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -323,6 +324,43 @@ def random_lattice_function(
     raise ValueError(f"unknown function policy {policy!r}")
 
 
+@lru_cache(maxsize=None)
+def _misaligned_endpoints(resolution: int) -> np.ndarray:
+    """Endpoints in [1, 2**N) with at least ceil(N/2) binary digits set."""
+    candidates = np.arange(1, 1 << resolution)
+    eligible = candidates[np.bitwise_count(candidates) >= (resolution + 1) // 2]
+    eligible.setflags(write=False)
+    return eligible
+
+
+def _family_capacity(resolution: int, policy: str) -> int:
+    """Largest interval count that the family policy can draw in [0, 2**N)."""
+    size = 1 << resolution
+    if policy == "random":  # 2 * count distinct endpoints in [0, size]
+        return (size + 1) // 2
+    if policy in ("singletons", "dyadic"):  # cells of the grid, or of a coarser level
+        return size
+    if policy == "misaligned":  # 2 * count distinct misaligned endpoints
+        return _misaligned_endpoints(resolution).size // 2
+    raise ValueError(f"unknown family policy {policy!r}")
+
+
+_NO_ROOM = {
+    "random": "cannot fit {count} disjoint intervals in [0, {size})",
+    "singletons": "cannot fit {count} singletons in [0, {size})",
+    "dyadic": "cannot fit {count} dyadic pieces in [0, {size})",
+    "misaligned": "cannot pick {ends} misaligned endpoints in [0, {size})",
+}
+
+
+def _check_family_fits(resolution: int, count: int, policy: str) -> None:
+    """Refuse a family count that the policy cannot draw at this resolution."""
+    if count > _family_capacity(resolution, policy):
+        raise ValueError(
+            _NO_ROOM[policy].format(count=count, ends=2 * count, size=1 << resolution)
+        )
+
+
 def random_interval_family(
     seed, resolution: int, count: int, policy: str = "random"
 ) -> list[IntInterval]:
@@ -330,40 +368,25 @@ def random_interval_family(
     `seed` as in `random_function`."""
     if count < 1:
         raise ValueError("need at least one interval")
+    _check_family_fits(resolution, count, policy)
     rng = _rng(seed)
     size = 1 << resolution
     if policy == "random":
-        if 2 * count > size + 1:
-            raise ValueError(f"cannot fit {count} disjoint intervals in [0, {size})")
         pts = np.sort(rng.choice(size + 1, size=2 * count, replace=False))
         return [
             IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)
         ]
     if policy == "singletons":
-        if count > size:
-            raise ValueError(f"cannot fit {count} singletons in [0, {size})")
         pts = np.sort(rng.choice(size, size=count, replace=False))
         return [IntInterval(int(n), int(n) + 1) for n in pts]
     if policy == "dyadic":
         level = max(count - 1, 0).bit_length()
-        if level > resolution:
-            raise ValueError(f"cannot fit {count} dyadic pieces in [0, {size})")
         width = size >> level
         pos = np.sort(rng.choice(1 << level, size=count, replace=False))
         return [IntInterval(int(j) * width, (int(j) + 1) * width) for j in pos]
-    if policy == "misaligned":
-        need = (resolution + 1) // 2
-        candidates = np.arange(1, size)
-        eligible = candidates[np.bitwise_count(candidates) >= need]
-        if 2 * count > eligible.size:
-            raise ValueError(
-                f"cannot pick {2 * count} misaligned endpoints in [0, {size})"
-            )
-        pts = np.sort(rng.choice(eligible, size=2 * count, replace=False))
-        return [
-            IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)
-        ]
-    raise ValueError(f"unknown family policy {policy!r}")
+    # "misaligned", the one policy left after the capacity check
+    pts = np.sort(rng.choice(_misaligned_endpoints(resolution), 2 * count, replace=False))
+    return [IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +550,7 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     reported only (and for p < 2 the run is explicitly report-only, the
     inequality being false in general there).
     """
+    _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     probes = _scalar_probes(cfg.resolution) if cfg.probes else []
     rngs = _trial_generators(cfg, (0, 1), start=len(probes))
     trials = []
@@ -546,6 +570,7 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     The bound holds pointwise with constant exactly one; every trial asserts
     it cellwise.
     """
+    _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     rngs = _trial_generators(cfg, (0, 1))
     trials = []
     for t in range(cfg.trials):
@@ -603,6 +628,7 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     are reported.  For d = 1 each trial also records the scalar square
     function value so the two formulations can be compared.
     """
+    _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     rngs = _trial_generators(cfg, (0, 1))
     trials = []
     # the budget covers all cfg.count projections a chunk of trials keeps
@@ -668,6 +694,7 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     containment is asserted exactly; the weak-type constant
     lam * |{|T*g| > lam}| / ||g||_1 is reported over the grid.
     """
+    _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # a family holds cfg.count intervals, one component g per interval
     rngs = _trial_generators(cfg, (1, *range(10, 10 + cfg.count)))
     trials = []
@@ -677,7 +704,8 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
             random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
             for _ in decs
         ]
-        tstar = segment_transform_adjoint(gs, decs)
+        stack = np.stack([g.values for g in gs], axis=1)  # (cells, S, d)
+        tstar = LatticeFunction(cfg.resolution, _adjoint_of_stack(stack, decs), cfg.q)
         out_norms = tstar.norm_values()
         leaf = rad_norm_values(gs, 2.0, cfg.rad, seed=[cfg.seed, t, 3])
         l1 = float(leaf.mean())
@@ -685,19 +713,13 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
         scale = med if med > 0 else (l1 if l1 > 0 else 1.0)
         lams = [scale * 2.0**e for e in range(-cfg.lam_halfspan, cfg.lam_halfspan + 1)]
         weak, excess = [], []
-        for chunk in column_chunks(len(lams), len(gs) * gs[0].values.size):
+        for chunk in column_chunks(len(lams), stack.size):
             stops = [stopping_cells(leaf, lam) for lam in lams[chunk]]
             bad = np.stack(  # (cells, S, heights, d): every height in one adjoint pass
-                [
-                    np.stack(
-                        [split_at_cells(g.values, cells, cfg.resolution)[0] for g in gs],
-                        axis=1,
-                    )
-                    for cells in stops
-                ],
+                [split_at_cells(stack, cells, cfg.resolution)[0] for cells in stops],
                 axis=2,
             )
-            tstar_bad = _adjoint_of_stack(bad, decs, cfg.resolution)
+            tstar_bad = _adjoint_of_stack(bad, decs)
             for k, (lam, cells) in enumerate(zip(lams[chunk], stops)):
                 tstar_b = LatticeFunction(cfg.resolution, tstar_bad[:, k], cfg.q)
                 off = ~cells_mask(cells, cfg.resolution)
@@ -716,6 +738,7 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
     """Exact adjointness of the segment transform pair under sign averaging."""
     if cfg.rad != "exact":
         raise ValueError("adjointness requires exact sign mode")
+    _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     rngs = _trial_generators(cfg, (0, 1, *range(10, 10 + cfg.count)))
     trials = []
     for t in range(cfg.trials):
@@ -755,27 +778,24 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     _check_resolution(resolution)
     _check_min(1, trials=trials)
     _check_min(0, seed=seed)
-    # Each trial draws 1..max_count disjoint intervals.  Their 2 * count
-    # endpoints are distinct points of [0, 2**resolution], which holds for
-    # every draw once 2**resolution >= 2 * max_count - 1.
+    # each trial draws 1..max_count disjoint intervals of the "random" policy
     max_count = 6
-    min_resolution = (2 * max_count - 2).bit_length()
+    min_resolution = next(
+        r for r in itertools.count() if _family_capacity(r, "random") >= max_count
+    )
     if resolution < min_resolution:
         raise ValueError(
             f"resolution must be >= {min_resolution} to fit {max_count} disjoint "
             f"intervals, got {resolution}"
         )
-    checks = {
-        "projection_identity": 0.0,
-        "pointwise_sharp_vs_rms": 0.0,
-        "mean_subtraction_optimality": 0.0,
-        "orthogonality_sum": 0.0,
-        "mean_truncation": 0.0,
-        "telescoping": 0.0,
-        "locality": 0.0,
-        "constancy": 0.0,
-        "block_mean_zero": 0.0,
-        "rescaling_identity": 0.0,
+    # each check's residuals, folded by `_worst` so that a NaN fails the check
+    residuals = {
+        name: []
+        for name in (
+            "projection_identity", "pointwise_sharp_vs_rms", "mean_subtraction_optimality",
+            "orthogonality_sum", "mean_truncation", "telescoping", "locality", "constancy",
+            "block_mean_zero", "rescaling_identity",
+        )
     }
     norm_ratios = []
     n = 1 << resolution
@@ -811,19 +831,13 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
                 rhs = walsh_eval(base, resolution).values * block_sum(
                     f, base, levels
                 ).values
-                checks["projection_identity"] = max(
-                    checks["projection_identity"], float(np.abs(lhs - rhs).max())
-                )
+                residuals["projection_identity"].append(float(np.abs(lhs - rhs).max()))
 
         g = block_sum_family(f, decs)
         sharp = sharp_maximal(g).values
         m2 = rms_maximal(f).values
-        checks["pointwise_sharp_vs_rms"] = max(
-            checks["pointwise_sharp_vs_rms"], float((sharp - m2).max())
-        )
-        checks["block_mean_zero"] = max(
-            checks["block_mean_zero"], float(np.abs(g.values.mean(axis=1)).max())
-        )
+        residuals["pointwise_sharp_vs_rms"].append(float((sharp - m2).max()))
+        residuals["block_mean_zero"].append(float(np.abs(g.values.mean(axis=1)).max()))
         for p_exp in (2.0, 4.0):
             gp = float(root_means((g.values**2).sum(axis=0)[None], p_exp, p_exp / 2)[0])
             sp = float(root_means(np.abs(sharp)[None], p_exp, p_exp)[0])
@@ -834,40 +848,28 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
         c = mean_vec + offset
         osc_mean = ((g.values - mean_vec[:, None]) ** 2).sum(axis=0).mean()
         osc_c = ((g.values - c[:, None]) ** 2).sum(axis=0).mean()
-        checks["mean_subtraction_optimality"] = max(
-            checks["mean_subtraction_optimality"], float(osc_mean - osc_c)
-        )
+        residuals["mean_subtraction_optimality"].append(float(osc_mean - osc_c))
 
         proj_sq = _sq_sum_of_projections(f.values, intervals)
-        checks["orthogonality_sum"] = max(
-            checks["orthogonality_sum"],
-            float(proj_sq.mean() - (f.values**2).mean()),
-        )
+        residuals["orthogonality_sum"].append(float(proj_sq.mean() - (f.values**2).mean()))
 
         total = np.zeros(n)
         for k in range(resolution + 1):
             total += mart_diff(k, f).values
-        checks["telescoping"] = max(
-            checks["telescoping"], float(np.abs(total - f.values).max())
-        )
+        residuals["telescoping"].append(float(np.abs(total - f.values).max()))
 
         sl = cell.grid_slice(resolution)
-        outside = np.ones(n, dtype=bool)
-        outside[sl] = False
+        outside = ~cells_mask([cell], resolution)
         perturbed_vals = f.values.copy()
         perturbed_vals[outside] += noise
         perturbed = DyadicFunction(resolution, perturbed_vals)
         for j in range(cell.level + 1, resolution + 1):
             d_orig = mart_diff(j, f).values[sl]
             d_pert = mart_diff(j, perturbed).values[sl]
-            checks["locality"] = max(
-                checks["locality"], float(np.abs(d_orig - d_pert).max())
-            )
+            residuals["locality"].append(float(np.abs(d_orig - d_pert).max()))
         for j in range(0, cell.level + 1):
             vals = mart_diff(j, f).values[sl]
-            checks["constancy"] = max(
-                checks["constancy"], float(np.abs(vals - vals[0]).max())
-            )
+            residuals["constancy"].append(float(np.abs(vals - vals[0]).max()))
 
         m = cell.level
         wa_f = walsh_eval(a, resolution) * f
@@ -877,9 +879,7 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
         for j in range(m + 1, resolution + 1):
             lhs = mart_diff(j, wa_f).values[sl]
             rhs = sign * mart_diff(j - m, wa_tilde * f_tilde).values
-            checks["rescaling_identity"] = max(
-                checks["rescaling_identity"], float(np.abs(lhs - rhs).max())
-            )
+            residuals["rescaling_identity"].append(float(np.abs(lhs - rhs).max()))
 
     # mean truncation sweep at a coarse resolution, all dyadic cells
     res6 = min(resolution, 6)
@@ -894,16 +894,15 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
             kept = [j for j in dec.left_levels if (1 << j) <= inv_measure]
             truncated = block_sum(f6, dec.anchor, kept).values
             sl = cell.grid_slice(res6)
-            checks["mean_truncation"] = max(
-                checks["mean_truncation"],
-                abs(float(full[sl].mean()) - float(truncated[sl].mean())),
+            residuals["mean_truncation"].append(
+                abs(float(full[sl].mean()) - float(truncated[sl].mean()))
             )
 
     ratios = np.array(norm_ratios) if norm_ratios else np.zeros(1)
-    results = [
-        {"name": name, "worst_residual": worst, "passed": worst <= ASSERT_TOL}
-        for name, worst in checks.items()
-    ]
+    results = []
+    for name, values in residuals.items():
+        worst = _worst(values)
+        results.append({"name": name, "worst_residual": worst, "passed": worst <= ASSERT_TOL})
     return {
         "config": {"resolution": resolution, "trials": trials, "seed": seed},
         "checks": results,

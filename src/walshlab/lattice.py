@@ -12,7 +12,8 @@ array of cell values.  On top of that this module provides
   left-piece levels of interval s, so that modulating back by w_{a_s}
   projects f onto the contiguous segment {a_s} u (left pieces); the adjoint
   recombines a component family with the same blocks and modulations, and the
-  two are exact adjoints for the sign-averaged coordinatewise pairing;
+  two are exact adjoints for the sign-averaged coordinatewise pairing; both
+  run on the block-sum engine of `operators`;
 * the Calderon-Zygmund splitting at a height lam: stop at the maximal dyadic
   cells whose average pointwise norm exceeds lam, replace the function by its
   mean on each stopping cell (good part h), and keep the remainder (bad part
@@ -33,14 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .intervals import Decomposition
-from .walsh import (
-    DyadicCell,
-    ResolutionError,
-    cell_sums,
-    column_chunks,
-    project_columns,
-)
-from .operators import _modulation_columns
+from .operators import _block_sum_chunks, _block_sums_adjoint
+from .walsh import DyadicCell, ResolutionError, cell_sums
 
 EXACT_SIGN_LIMIT = 20
 _SIGN_CHUNK = 1 << 12
@@ -181,8 +176,8 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
     The sign rows (the full hypercube or one seeded sample) are cut into
     chunks of `rows` rows, a power of two.  `row_values` maps a (K, count)
     block of sign rows to results with one leading entry per row, and
-    `reduce` maps the row results of one whole chunk, C-contiguous and in
-    row order, to that chunk's entry of the returned list.
+    `reduce` maps the row results of one whole chunk, in row order, to that
+    chunk's entry of the returned list.
 
     Exact mode evaluates only half of the 2**count rows.  Row 2**count-1-k
     is the negation of row k, and `row_values` must give a row and its
@@ -213,7 +208,7 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
     for c in range(chunks // 2):
         vals = row_values(_exact_sign_block(count, c * rows, (c + 1) * rows))
         partials[c] = reduce(vals)
-        partials[chunks - 1 - c] = reduce(np.ascontiguousarray(vals[::-1]))
+        partials[chunks - 1 - c] = reduce(vals[::-1])
     return partials, total
 
 
@@ -347,17 +342,9 @@ def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
     return float((f.values * g.values).sum(axis=1).mean())
 
 
-def _segment_columns(decomps: Sequence[Decomposition], resolution: int, ndim: int):
-    """Anchor functions and kept index ranges of a chunk of decompositions.
-
-    The anchor functions are shaped (cells, s, 1, ...) with `ndim` axes, to
-    broadcast over a stack of components; the ranges keep level 0 plus each
-    decomposition's left-piece levels.
-    """
-    w, ranges = _modulation_columns(
-        [d.anchor for d in decomps], [d.left_levels for d in decomps], resolution
-    )
-    return w.reshape(w.shape + (1,) * (ndim - 2)), [[(0, 1)] + r for r in ranges]
+def _segments(decomps: Sequence[Decomposition]) -> tuple[list[int], list[tuple]]:
+    """Anchors and kept levels of the segments: level 0 plus the left-piece levels."""
+    return [d.anchor for d in decomps], [(0, *d.left_levels) for d in decomps]
 
 
 def segment_transform(
@@ -369,31 +356,20 @@ def segment_transform(
     anchor level 0 and the left-piece levels; multiplied back by w_{a_s} it
     is the spectral projection of f onto the segment {a_s} u (left pieces).
     """
-    out = []
-    for sl in column_chunks(len(decomps), f.values.size):
-        w, ranges = _segment_columns(decomps[sl], f.resolution, 3)
-        (comps,) = project_columns(w * f.values[:, None, :], [ranges])
-        out.extend(
-            LatticeFunction(f.resolution, comps[:, s], f.q) for s in range(comps.shape[1])
-        )
-    return out
+    return [
+        LatticeFunction(f.resolution, comps[:, s], f.q)
+        for _, comps in _block_sum_chunks(f.values, *_segments(decomps))
+        for s in range(comps.shape[1])
+    ]
 
 
-def _adjoint_of_stack(
-    stacked: np.ndarray, decomps: Sequence[Decomposition], resolution: int
-) -> np.ndarray:
+def _adjoint_of_stack(stacked: np.ndarray, decomps: Sequence[Decomposition]) -> np.ndarray:
     """Adjoint transform of a (cells, S, ...) component stack; returns (cells, ...).
 
     Trailing axes are transformed independently, so several families can be
     recombined in one pass; the terms add up in component order.
     """
-    acc = np.zeros(stacked.shape[:1] + stacked.shape[2:])
-    for sl in column_chunks(len(decomps), acc.size):
-        w, ranges = _segment_columns(decomps[sl], resolution, stacked.ndim)
-        (blocks,) = project_columns(stacked[:, sl], [ranges])
-        for s in range(blocks.shape[1]):
-            acc = acc + w[:, s] * blocks[:, s]
-    return acc
+    return _block_sums_adjoint(stacked, *_segments(decomps))
 
 
 def segment_transform_adjoint(
@@ -413,9 +389,7 @@ def segment_transform_adjoint(
     for g in components[1:]:
         first._check_compatible(g)
     stacked = np.stack([g.values for g in components], axis=1)
-    return LatticeFunction(
-        first.resolution, _adjoint_of_stack(stacked, decomps, first.resolution), first.q
-    )
+    return LatticeFunction(first.resolution, _adjoint_of_stack(stacked, decomps), first.q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ one component per decomposed interval, where a_s is the interval's anchor and
 Theta_s its left-piece levels (`block_sum_family`).  Multiplying component s
 by w_{a_s} recovers the spectral projection of f onto the union of the left
 pieces, which is how the square function of arbitrary interval projections is
-reduced to martingale machinery.
+reduced to martingale machinery.  One private engine computes these block
+sums for every caller: `_anchor_columns` builds the anchor functions and
+kept index ranges, `_block_sum_chunks` runs the forward map on a (cells, ...)
+stack one budgeted chunk of anchors at a time, and `_block_sums_adjoint` is
+its adjoint.  The lattice segment transform pair is the same engine run
+with level 0 added to the left-piece levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -62,38 +67,47 @@ class SeqFunction:
         return cls(res, np.stack([g.values for g in components]))
 
 
-def _level_ranges(levels: Iterable[int], resolution: int) -> list[tuple[int, int]]:
-    """Coefficient index ranges of the blocks of the given levels."""
+def _anchor_columns(anchors, levels, resolution: int, ndim: int):
+    """(cells, s, 1, ...) anchor functions w_a, shaped to broadcast over a stack
+    with `ndim` axes, and per anchor the index ranges of its (checked) levels."""
     ranges = []
-    for j in levels:
-        if j > resolution:
-            raise ResolutionError(f"level {j} exceeds resolution {resolution}")
-        blk = delta_block(j)
-        ranges.append((blk.lo, blk.hi))
-    return ranges
-
-
-def _modulation_columns(
-    anchors: Sequence[int], levels: Sequence[Iterable[int]], resolution: int
-) -> tuple[np.ndarray, list]:
-    """(cells, S) Walsh functions w_a and, per column, the ranges of the levels."""
-    ranges = [_level_ranges(lv, resolution) for lv in levels]
+    for lv in levels:
+        ranges.append([])
+        for j in lv:
+            if j > resolution:
+                raise ResolutionError(f"level {j} exceeds resolution {resolution}")
+            blk = delta_block(j)
+            ranges[-1].append((blk.lo, blk.hi))
     w = np.stack([walsh_eval(a, resolution).values for a in anchors], axis=1)
-    return w, ranges
+    return w.reshape(w.shape + (1,) * (ndim - 2)), ranges
 
 
-def _block_sums(
-    values: np.ndarray, anchors: Sequence[int], levels: Sequence[Iterable[int]]
-) -> np.ndarray:
-    """(S, cells) block sums of one grid function, batched within the budget."""
-    resolution = int(values.shape[0]).bit_length() - 1
-    out = np.zeros((len(anchors), values.shape[0]))
-    for sl in column_chunks(len(anchors), values.shape[0]):
-        modulated, ranges = _modulation_columns(anchors[sl], levels[sl], resolution)
-        modulated *= values[:, None]
+def _block_sum_chunks(values: np.ndarray, anchors, levels):
+    """Yield (slice, (cells, s, ...) block sums) per budgeted chunk of anchors.
+
+    Column s sums the martingale differences of w_{a_s} * values over its
+    levels; trailing axes of the (cells, ...) stack ride along.
+    """
+    resolution = values.shape[0].bit_length() - 1
+    for sl in column_chunks(len(anchors), values.size):
+        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, values.ndim + 1)
+        # a scalar stack is modulated in the anchor columns themselves
+        modulated = np.multiply(w, values[:, None], out=w if values.ndim == 1 else None)
         (sums,) = project_columns(modulated, [ranges])
-        out[sl] = sums.T
-    return out
+        yield sl, sums
+
+
+def _block_sums_adjoint(stacked: np.ndarray, anchors, levels) -> np.ndarray:
+    """Adjoint of `_block_sum_chunks` on a (cells, S, ...) stack: the sum, in
+    column order, of w_{a_s} times the block sums of column s."""
+    resolution = stacked.shape[0].bit_length() - 1
+    acc = np.zeros(stacked.shape[:1] + stacked.shape[2:])
+    for sl in column_chunks(len(anchors), acc.size):
+        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, stacked.ndim)
+        (blocks,) = project_columns(stacked[:, sl], [ranges])
+        for s in range(blocks.shape[1]):
+            acc += w[:, s] * blocks[:, s]
+    return acc
 
 
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:
@@ -103,7 +117,8 @@ def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunctio
     the requested levels.  Multiplying the result by w_a again gives the
     spectral projection of f onto the union of the translated blocks.
     """
-    return DyadicFunction(f.resolution, _block_sums(f.values, [a], [levels])[0])
+    ((_, sums),) = _block_sum_chunks(f.values, [a], [levels])
+    return DyadicFunction(f.resolution, sums[:, 0])
 
 
 def block_sum_family(
@@ -115,7 +130,11 @@ def block_sum_family(
     """
     anchors = [dec.anchor for dec in decomps]
     levels = [dec.left_levels for dec in decomps]
-    return SeqFunction(f.resolution, _block_sums(f.values, anchors, levels))
+    out = np.zeros((len(decomps), f.size))
+    for sl, sums in _block_sum_chunks(f.values, anchors, levels):
+        out[sl] = sums.T
+        del sums  # the last chunk must not stay alive while SeqFunction copies `out`
+    return SeqFunction(f.resolution, out)
 
 
 def sharp_maximal(g: SeqFunction) -> DyadicFunction:

@@ -225,6 +225,31 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     assert any(name.lower() in lines[0].lower() for name in names), lines[0]
 
 
+# The first count each family policy cannot draw at N = 4 (16 cells).
+FIRST_INFEASIBLE_AT_4 = {"random": 9, "singletons": 17, "dyadic": 17, "misaligned": 6}
+
+
+# The scalar campaign runs its probes first, and they draw no family; a run
+# of probes only must be refused all the same.
+@pytest.mark.parametrize("trials", ["1", "2", "20"])
+@pytest.mark.parametrize("family, count", FIRST_INFEASIBLE_AT_4.items())
+def test_family_count_refused_at_any_trial_count(capsys, family, count, trials):
+    code = main([
+        "scalar", "--resolution", "4", "--family", family, "--count", str(count),
+        "--trials", trials,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("lpr scalar: error: cannot ")
+    assert len(captured.err.strip().split("\n")) == 1
+
+
+def test_lemma_draws_no_family_and_is_not_refused(capsys):
+    code, _ = run_cli(capsys, "lemma", "--resolution", "1", "--trials", "2")
+    assert code == 0
+
+
 def test_ratio_commands_match_runners():
     from walshlab.cli import RATIO_COMMANDS
     from walshlab.experiments import RUNNERS

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_random_interval_family_policies():
         random_interval_family(0, 3, 0, "random")
     with pytest.raises(ValueError):
         random_interval_family(0, 6, 4, "bogus")
+
+
+# The most intervals each family policy can draw at N = 4 (16 cells): 8 pairs
+# of endpoints in [0, 16], 16 cells, 16 dyadic cells of level 4, and 5 pairs of
+# the 11 endpoints below 16 with at least two binary digits set.
+CAPACITY_AT_4 = {"random": 8, "singletons": 16, "dyadic": 16, "misaligned": 5}
+
+
+@pytest.mark.parametrize("policy, capacity", CAPACITY_AT_4.items())
+def test_random_interval_family_capacity_is_tight(policy, capacity):
+    for seed in range(5):
+        assert len(random_interval_family(seed, 4, capacity, policy)) == capacity
+    with pytest.raises(ValueError, match="^cannot "):
+        random_interval_family(0, 4, capacity + 1, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +419,30 @@ def test_verify_identities_report():
     assert "projection_identity" in names
     assert "pointwise_sharp_vs_rms" in names
     assert report["reported"]["norm_over_sharp"]["max"] > 0
+
+
+@pytest.mark.parametrize("target", ["sharp_maximal", "mart_diff"])
+def test_verify_identities_fails_on_one_nan_cell(monkeypatch, target):
+    import walshlab.experiments as experiments
+
+    original = getattr(experiments, target)
+
+    def with_nan(*args):
+        out = original(*args)
+        values = out.values.copy()
+        values[0] = np.nan
+        return DyadicFunction(out.resolution, values)
+
+    monkeypatch.setattr(experiments, target, with_nan)
+    report = verify_identities(resolution=4, trials=2, seed=0)
+    check = {
+        "sharp_maximal": "pointwise_sharp_vs_rms",
+        "mart_diff": "telescoping",
+    }[target]
+    result = next(c for c in report["checks"] if c["name"] == check)
+    assert math.isnan(result["worst_residual"])
+    assert not result["passed"]
+    assert not report["passed"]
 
 
 def test_decompose_report_fields():
