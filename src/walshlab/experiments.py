@@ -15,6 +15,13 @@ constant 1, adjointness, support containment), from "reported" empirical
 constants, which are emitted with max / mean / 99th percentile and never
 asserted to a specific value.
 
+Every campaign runner but `weak11` and `adjoint` works on budgeted chunks of
+trials (`column_chunks`): each trial still draws from its own generators,
+and the chunk's functions are stacked along trailing axes (axis 0 = cells)
+and transformed, reduced and normed together.  `pointwise` stacks the block
+sums of a chunk as (S, cells, T) and `lemma` its draws as (S, cells, d, T)
+for the stack kernels of `operators`.
+
 The ratio campaigns for p > 2 open with a fixed block of deterministic
 adversarial probes (a covered Walsh function, anticorrelated cascade
 functions against the block family, a spike, a Riesz product) before the
@@ -47,6 +54,7 @@ from .lattice import (
     cells_mask,
     cz_decompose,
     duality_pairing,
+    lattice_norm,
     lp_radx_norm,
     lp_x_norm,
     rad_norm_values,
@@ -59,11 +67,15 @@ from .lattice import (
 )
 from .operators import (
     SeqFunction,
+    _square_sum,
     block_sum,
     block_sum_family,
+    block_sum_stack,
     rms_maximal,
+    rms_maximal_stack,
     sharp_maximal,
-    square_function,
+    sharp_maximal_stack,
+    square_function_stack,
 )
 from .walsh import (
     DyadicCell,
@@ -564,24 +576,44 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, checks, regime=_regime(cfg.p))
 
 
+def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+    """Trial records of one budgeted chunk of pointwise trials.
+
+    Each trial is drawn from the next two generators of `rngs` (its streams
+    0 and 1) into one column of a (cells, T) stack.  The block sums of every
+    trial form one (S, cells, T) stack, and the sharp and rms maximal
+    functions run on the whole chunk.
+    """
+    values = np.empty((1 << cfg.resolution, len(ts)))
+    families = []
+    for k in range(len(ts)):
+        values[:, k] = random_function(next(rngs), cfg.resolution, cfg.policy).values
+        families.append(family_decompose(_family(cfg, next(rngs))))
+    sharp = sharp_maximal_stack(block_sum_stack(values, families))  # (cells, T)
+    m2 = rms_maximal_stack(values)
+    excess = (sharp - m2).max(axis=0)
+    pos = m2 > 0
+    ratios = np.divide(sharp, m2, out=np.full_like(sharp, -np.inf), where=pos).max(axis=0)
+    ratios[~pos.any(axis=0)] = 0.0
+    return [
+        {"trial": t, "ratio": ratio, "excess": exc}
+        for t, ratio, exc in zip(ts, ratios.tolist(), excess.tolist())
+    ]
+
+
 def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     """Sharp function of the block transform against the rms maximal function.
 
     The bound holds pointwise with constant exactly one; every trial asserts
-    it cellwise.
+    it cellwise.  Trials run in chunks whose (S, cells, T) block-sum stack
+    fits the column budget (`_pointwise_chunk`).
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     rngs = _trial_generators(cfg, (0, 1))
     trials = []
-    for t in range(cfg.trials):
-        f = random_function(next(rngs), cfg.resolution, cfg.policy)
-        decs = family_decompose(_family(cfg, next(rngs)))
-        sharp = sharp_maximal(block_sum_family(f, decs)).values
-        m2 = rms_maximal(f).values
-        excess = float((sharp - m2).max())
-        pos = m2 > 0
-        ratio = float((sharp[pos] / m2[pos]).max()) if pos.any() else 0.0
-        trials.append({"trial": t, "ratio": ratio, "excess": excess})
+    # the budget covers the cfg.count block sums a chunk of trials keeps
+    for chunk in column_chunks(cfg.trials, cfg.count << cfg.resolution):
+        trials += _pointwise_chunk(cfg, range(chunk.start, chunk.stop), rngs)
     worst_ratio = _worst(rec["ratio"] for rec in trials)
     worst_excess = _worst((rec["excess"] for rec in trials), -np.inf)
     check = _bounded("pointwise sharp <= rms maximal (constant 1)", worst_ratio, 1.0)
@@ -642,40 +674,54 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check], regime=_regime(cfg.p))
 
 
+def _lp_x_rows(values: np.ndarray, cfg: ExperimentConfig) -> list[float]:
+    """L^p norm of the pointwise l^q norm of every trial in a (cells, d, T) stack."""
+    rows = np.ascontiguousarray(values.transpose(2, 0, 1))  # (T, cells, d)
+    return root_means(lattice_norm(rows, cfg.q), cfg.p, cfg.p).tolist()
+
+
+def _lemma_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+    """Trial records of one budgeted chunk of lemma trials.
+
+    Trial t draws its components from the next cfg.components generators of
+    `rngs` into an (S, cells, d, T) stack; the square function then runs on
+    the whole chunk at once.  Cell means are removed per drawn component:
+    at d = 1 numpy sums a lone component's cells pairwise, which a mean over
+    the stack would not.
+    """
+    n, S = 1 << cfg.resolution, cfg.components
+    stack = np.empty((S, n, cfg.dim, len(ts)))
+    for k in range(len(ts)):
+        for s in range(S):
+            values = random_lattice_function(
+                next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy
+            ).values
+            if cfg.mean_zero:
+                values = values - values.mean(axis=0)
+            stack[s, :, :, k] = values
+    sq = square_function_stack(stack.reshape(S, n, -1)).reshape(n, cfg.dim, -1)
+    norm = np.sqrt(_square_sum(stack.reshape(S, n * cfg.dim, -1))).reshape(n, cfg.dim, -1)
+    return [
+        {"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
+        for t, lhs, rhs in zip(ts, _lp_x_rows(sq, cfg), _lp_x_rows(norm, cfg))
+    ]
+
+
 def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     """Coordinatewise martingale square function vs the l2-aggregated norm.
 
     Generates a family of lattice-valued components (cell means removed when
     mean_zero is set), applies the square function per coordinate across the
     family, and compares L^p(lattice) norms.  The d = 1, p = 2 mean-zero case
-    asserts ratio <= 1; lattice cases are reported.
+    asserts ratio <= 1; lattice cases are reported.  Trials run in chunks
+    whose (S, cells, d, T) stack of draws fits the column budget
+    (`_lemma_chunk`).
     """
     rngs = _trial_generators(cfg, range(cfg.components))
     trials = []
-    for t in range(cfg.trials):
-        comps = [
-            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-            for _ in range(cfg.components)
-        ]
-        if cfg.mean_zero:
-            comps = [
-                LatticeFunction(
-                    c.resolution, c.values - c.values.mean(axis=0), c.q
-                )
-                for c in comps
-            ]
-        stack = np.stack([c.values for c in comps])  # (S, cells, d)
-        sq_cols = [
-            square_function(SeqFunction(cfg.resolution, stack[:, :, c])).values
-            for c in range(cfg.dim)
-        ]
-        s_fun = LatticeFunction(cfg.resolution, np.stack(sq_cols, axis=1), cfg.q)
-        lhs = lp_x_norm(s_fun, cfg.p)
-        rhs_fun = LatticeFunction(
-            cfg.resolution, np.sqrt((stack**2).sum(axis=0)), cfg.q
-        )
-        rhs = lp_x_norm(rhs_fun, cfg.p)
-        trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)})
+    # the budget covers the components a chunk of trials draws
+    for chunk in column_chunks(cfg.trials, (cfg.components * cfg.dim) << cfg.resolution):
+        trials += _lemma_chunk(cfg, range(chunk.start, chunk.stop), rngs)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero:
         check = _bounded("square function contracts at p=2, d=1, mean zero", worst, 1.0)

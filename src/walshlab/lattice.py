@@ -38,6 +38,9 @@ from .operators import _block_sum_chunks, _block_sums_adjoint
 from .walsh import DyadicCell, ResolutionError, cell_sums
 
 EXACT_SIGN_LIMIT = 20
+# Largest Monte Carlo sign sample: the draws are made a chunk at a time, so
+# the cap bounds the run time, not the memory.
+MC_SAMPLE_LIMIT = 10**9
 _SIGN_CHUNK = 1 << 12
 _PAIRING_BUDGET = 1 << 16  # floats per sign-pairing array
 _SIGN_SUM_BUDGET = 1 << 20  # floats per (rows, cells, d) array of signed sums
@@ -155,7 +158,8 @@ _cached_sign_block = lru_cache(maxsize=8)(_exact_sign_block)
 
 
 def _mc_samples(mode: str) -> int | None:
-    """Sample count of a sign mode: None for 'exact', k for 'mc:<k>' with k >= 1."""
+    """Sample count of a sign mode: None for 'exact', k for 'mc:<k>' with
+    1 <= k <= MC_SAMPLE_LIMIT."""
     if mode == "exact":
         return None
     try:
@@ -167,6 +171,11 @@ def _mc_samples(mode: str) -> int | None:
             f"Rademacher sign mode {mode!r} is neither 'exact' nor 'mc:<samples>' "
             "with at least one sample"
         )
+    if samples > MC_SAMPLE_LIMIT:
+        raise ValueError(
+            f"Rademacher sign mode {mode!r} asks for {samples} samples, more than "
+            f"the limit of {MC_SAMPLE_LIMIT}"
+        )
     return samples
 
 
@@ -174,7 +183,9 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
     """Per-chunk results over the sign vectors of `mode`, and the row count.
 
     The sign rows (the full hypercube or one seeded sample) are cut into
-    chunks of `rows` rows, a power of two.  `row_values` maps a (K, count)
+    chunks of `rows` rows, a power of two; a sample is drawn one chunk at a
+    time, which gives the rows of one draw of the whole sample, in order, and
+    holds one chunk of draws at a time.  `row_values` maps a (K, count)
     block of sign rows to results with one leading entry per row, and
     `reduce` maps the row results of one whole chunk, in row order, to that
     chunk's entry of the returned list.
@@ -187,12 +198,11 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
     """
     samples = _mc_samples(mode)
     if samples is not None:
-        draws = np.random.default_rng(seed).integers(0, 2, size=(samples, count))
-        signs = 1.0 - 2.0 * draws.astype(float)
-        partials = [
-            reduce(row_values(signs[start : start + rows]))
-            for start in range(0, samples, rows)
-        ]
+        rng = np.random.default_rng(seed)
+        partials = []
+        for start in range(0, samples, rows):
+            draws = rng.integers(0, 2, size=(min(rows, samples - start), count))
+            partials.append(reduce(row_values(1.0 - 2.0 * draws.astype(float))))
         return partials, samples
     if count > EXACT_SIGN_LIMIT:
         raise ValueError(
@@ -385,10 +395,8 @@ def segment_transform_adjoint(
         raise ValueError(
             f"{len(components)} components for {len(decomps)} decompositions"
         )
+    stacked = np.moveaxis(_stacked(components), 0, 1)  # (cells, S, d)
     first = components[0]
-    for g in components[1:]:
-        first._check_compatible(g)
-    stacked = np.stack([g.values for g in components], axis=1)
     return LatticeFunction(first.resolution, _adjoint_of_stack(stacked, decomps), first.q)
 
 

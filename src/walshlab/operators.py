@@ -19,6 +19,16 @@ Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
 functions are cell-constant at level N.  Tree sweeps run bottom-up with
 pairwise sums, so a sharp/maximal evaluation costs O(2**N * (N + S)).
+
+Each functional is one kernel on a stack, and the SeqFunction /
+DyadicFunction functions call it on one trial.  `sharp_maximal_stack` and
+`square_function_stack` take an (S, cells, ...) stack,
+`maximal_function_stack` and `rms_maximal_stack` a (cells, ...) stack; S
+stays on axis 0, and trailing axes carry trials and lattice coordinates,
+each trailing column bitwise as if computed alone.  `block_sum_stack` runs
+the block-sum engine paired one column to one trial: it turns a (cells, T)
+stack and one decomposition family per trial into the (S, cells, T) stack
+the sharp kernel reads.
 """
 
 from __future__ import annotations
@@ -82,19 +92,49 @@ def _anchor_columns(anchors, levels, resolution: int, ndim: int):
     return w.reshape(w.shape + (1,) * (ndim - 2)), ranges
 
 
-def _block_sum_chunks(values: np.ndarray, anchors, levels):
+def _block_sum_chunks(values: np.ndarray, anchors, levels, owners=None):
     """Yield (slice, (cells, s, ...) block sums) per budgeted chunk of anchors.
 
     Column s sums the martingale differences of w_{a_s} * values over its
-    levels; trailing axes of the (cells, ...) stack ride along.
+    levels; trailing axes of the (cells, ...) stack ride along.  With
+    `owners`, `values` is a (cells, T) stack of scalar functions and column s
+    modulates column owners[s] alone.
     """
     resolution = values.shape[0].bit_length() - 1
-    for sl in column_chunks(len(anchors), values.size):
-        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, values.ndim + 1)
-        # a scalar stack is modulated in the anchor columns themselves
-        modulated = np.multiply(w, values[:, None], out=w if values.ndim == 1 else None)
+    if owners is None:
+        ndim, column_cells = values.ndim + 1, values.size
+    else:
+        ndim, column_cells = 2, values.shape[0]
+    for sl in column_chunks(len(anchors), column_cells):
+        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, ndim)
+        # scalar columns are modulated in the anchor columns themselves
+        if owners is None:
+            modulated = np.multiply(w, values[:, None], out=w if values.ndim == 1 else None)
+        else:
+            modulated = np.multiply(w, values[:, owners[sl]], out=w)
         (sums,) = project_columns(modulated, [ranges])
         yield sl, sums
+
+
+def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
+    """(S, cells, T) block sums of a (cells, T) stack of scalar functions.
+
+    Component s of trial t is the block sum of column t for the s-th
+    decomposition in families[t], with its anchor and left-piece levels; a
+    shorter family leaves its last components zero.
+    """
+    anchors, levels, owners, slots = [], [], [], []
+    for t, decomps in enumerate(families):
+        for s, dec in enumerate(decomps):
+            anchors.append(dec.anchor)
+            levels.append(dec.left_levels)
+            owners.append(t)
+            slots.append(s)
+    owners, slots = np.array(owners, dtype=int), np.array(slots, dtype=int)
+    out = np.zeros((max(map(len, families), default=0), *values.shape))
+    for sl, sums in _block_sum_chunks(values, anchors, levels, owners):
+        out[slots[sl], :, owners[sl]] = sums.T
+    return out
 
 
 def _block_sums_adjoint(stacked: np.ndarray, anchors, levels) -> np.ndarray:
@@ -137,32 +177,104 @@ def block_sum_family(
     return SeqFunction(f.resolution, out)
 
 
-def sharp_maximal(g: SeqFunction) -> DyadicFunction:
-    """Dyadic sharp function: sup over cells of the rms oscillation about the cell mean.
+def _square_sum(stack: np.ndarray, count: int = 1) -> np.ndarray:
+    """Sum over s of (stack[s] / count) ** 2 for an (S, cells, ...) stack.
 
-    Uses the per-cell variance identity (mean of the squared norm minus the
-    squared norm of the mean) so each level costs one pairwise-sum pass.
-    Each level of the (cells, S) pyramid is turned back into a C-ordered
-    (S, cells) array before summing over components: numpy adds a contiguous
-    axis of 8 or more pairwise, which would round differently.
+    The bits are those numpy gives one trial's own (S, cells) array.  Over two
+    or more cells numpy adds the components in order s = 0, 1, ..., and so
+    does this fold, one component at a time into one accumulator, which
+    keeps a single component's terms alive.  Over a single cell numpy sums
+    the components pairwise along a contiguous axis, which is redone here
+    for every trailing column.
     """
-    n = 1 << g.resolution
-    best = np.zeros(n)
-    for sq, comp in zip(cell_sums((g.values**2).sum(axis=0)), cell_sums(g.values.T)):
-        count = n // sq.shape[0]
-        osc2 = sq / count - ((comp.T / count) ** 2).sum(axis=0)
-        best = np.maximum(best, np.repeat(np.maximum(osc2, 0.0), count))
-    return DyadicFunction(g.resolution, np.sqrt(best))
+    if stack.shape[1] == 1:
+        terms = np.divide(stack.T, count, order="C")  # S last and contiguous
+        return np.square(terms, out=terms).sum(axis=-1).T
+    acc = np.divide(stack[0], count)
+    np.square(acc, out=acc)
+    term = np.empty_like(acc)
+    for comp in stack[1:]:
+        np.divide(comp, count, out=term)
+        acc += np.square(term, out=term)
+    return acc
+
+
+def sharp_maximal_stack(stack: np.ndarray) -> np.ndarray:
+    """Dyadic sharp function of an (S, cells, ...) stack; returns (cells, ...).
+
+    At each point, the sup over the dyadic cells containing it of the rms
+    oscillation about the cell mean, by the per-cell variance identity (mean
+    of the squared norm minus the squared norm of the mean), one level of
+    pairwise cell sums at a time.
+    """
+    n = stack.shape[1]
+    best = np.zeros(stack.shape[1:])
+    # the component pyramid runs on a (cells, S, ...) view, so every level
+    # keeps S outermost in memory
+    levels = zip(cell_sums(_square_sum(stack)), cell_sums(stack.swapaxes(0, 1)))
+    for sq, comp in levels:
+        cells = sq.shape[0]
+        count = n // cells
+        osc2 = sq / count
+        # a leaf cell's squared mean is its mean square, summed alike: reuse it
+        osc2 -= sq if count == 1 else _square_sum(comp.swapaxes(0, 1), count)
+        np.maximum(osc2, 0.0, out=osc2)
+        view = best.reshape(cells, count, *best.shape[1:])
+        np.maximum(view, osc2[:, None], out=view)
+    return np.sqrt(best, out=best)
+
+
+def maximal_function_stack(stack: np.ndarray) -> np.ndarray:
+    """Dyadic maximal function of a (cells, ...) stack: sup of cell averages of |f|."""
+    n = stack.shape[0]
+    best = np.zeros(stack.shape)
+    for sums in cell_sums(np.abs(stack)):
+        cells = sums.shape[0]
+        view = best.reshape(cells, n // cells, *stack.shape[1:])
+        np.maximum(view, (sums / (n // cells))[:, None], out=view)
+    return best
+
+
+def rms_maximal_stack(stack: np.ndarray) -> np.ndarray:
+    """Root-mean-square maximal function of a (cells, ...) stack."""
+    best = maximal_function_stack(np.square(stack))
+    return np.sqrt(best, out=best)
+
+
+def square_function_stack(stack: np.ndarray) -> np.ndarray:
+    """Martingale square function over levels 1..N of an (S, cells, ...) stack,
+    summed across components; returns (cells, ...).  The level-0 term (the
+    mean) is excluded.
+
+    The per-level sums over components are kept (2**k cells each) and added
+    into the result in level order k = 1, 2, ..., N.
+    """
+    n = stack.shape[1]
+    terms = []  # levels N .. 1
+    fine = None
+    for sums in cell_sums(stack.swapaxes(0, 1)):  # (2**k, S, ...), k = N .. 0
+        means = sums.swapaxes(0, 1) / (n // sums.shape[0])
+        if fine is not None:
+            coarse = means.shape[1]
+            diff = fine.reshape(fine.shape[0], coarse, 2, *fine.shape[2:]) - means[:, :, None]
+            terms.append(_square_sum(diff.reshape(fine.shape)))
+        fine = means
+    acc = np.zeros(stack.shape[1:])
+    for term in reversed(terms):
+        cells = term.shape[0]
+        view = acc.reshape(cells, n // cells, *acc.shape[1:])
+        view += term[:, None]
+    return np.sqrt(acc, out=acc)
+
+
+def sharp_maximal(g: SeqFunction) -> DyadicFunction:
+    """Dyadic sharp function: sup over cells of the rms oscillation about the cell mean."""
+    return DyadicFunction(g.resolution, sharp_maximal_stack(g.values))
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
     """Dyadic Hardy-Littlewood maximal function: sup of cell averages of |f|."""
-    n = f.size
-    best = np.zeros(n)
-    for sums in cell_sums(np.abs(f.values)):
-        count = n // sums.shape[0]
-        best = np.maximum(best, np.repeat(sums / count, count))
-    return DyadicFunction(f.resolution, best)
+    return DyadicFunction(f.resolution, maximal_function_stack(f.values))
 
 
 def rms_maximal(f: DyadicFunction) -> DyadicFunction:
@@ -170,8 +282,7 @@ def rms_maximal(f: DyadicFunction) -> DyadicFunction:
 
     Equals the maximal function of f**2 followed by a pointwise square root.
     """
-    squared = DyadicFunction(f.resolution, f.values**2)
-    return DyadicFunction(f.resolution, np.sqrt(maximal_function(squared).values))
+    return DyadicFunction(f.resolution, rms_maximal_stack(f.values))
 
 
 def square_function(g: SeqFunction) -> DyadicFunction:
@@ -179,12 +290,4 @@ def square_function(g: SeqFunction) -> DyadicFunction:
 
     The level-0 term (the mean) is deliberately excluded.
     """
-    res = g.resolution
-    n = 1 << res
-    # means[k] holds the level-k cell means, C-ordered (S, 2**k) as in sharp_maximal
-    means = [s.T / (n // s.shape[0]) for s in cell_sums(g.values.T)][::-1]
-    acc = np.zeros(n)
-    for k in range(1, res + 1):
-        diff = means[k] - np.repeat(means[k - 1], 2, axis=1)
-        acc += np.repeat((diff**2).sum(axis=0), n >> k)
-    return DyadicFunction(res, np.sqrt(acc))
+    return DyadicFunction(g.resolution, square_function_stack(g.values))

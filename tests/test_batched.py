@@ -14,8 +14,10 @@ families as budgeted arrays, is compared in the same way with a
 one-family-at-a-time depth-first recursion, spot-checked families included.
 """
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +45,10 @@ from walshlab.operators import (
     SeqFunction,
     block_sum,
     block_sum_family,
+    block_sum_stack,
     rms_maximal,
     sharp_maximal,
+    square_function,
 )
 from walshlab.walsh import (
     DyadicFunction,
@@ -148,6 +152,29 @@ def reference_pointwise(cfg):
         }
     ]
     return _finish(cfg, trials, summary, asserted)
+
+
+def reference_lemma(cfg):
+    n = cfg.resolution
+    trials = []
+    for t in range(cfg.trials):
+        comps = []
+        for s in range(cfg.components):
+            values = random_lattice_function(
+                (cfg.seed, t, s), n, cfg.dim, cfg.q, cfg.policy
+            ).values
+            if cfg.mean_zero:
+                values = values - values.mean(axis=0)
+            comps.append(values)
+        stack = np.stack(comps)  # (S, cells, d)
+        sq = [square_function(SeqFunction(n, stack[:, :, c])).values for c in range(cfg.dim)]
+        lhs = lp_x_norm(LatticeFunction(n, np.stack(sq, axis=1), cfg.q), cfg.p)
+        rhs = lp_x_norm(LatticeFunction(n, np.sqrt((stack**2).sum(axis=0)), cfg.q), cfg.p)
+        trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)})
+    worst = max([0.0] + [rec["ratio"] for rec in trials])
+    contracts = cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero
+    name = "square function contracts at p=2, d=1, mean zero" if contracts else None
+    return _finish(cfg, trials, ex._summarize(trials), _asserted(worst, name))
 
 
 def reference_vector(cfg):
@@ -398,6 +425,112 @@ def test_pointwise_matches_per_trial(budget, resolution):
         seed=12, count=4,
     )
     _same_report(cfg, reference_pointwise)
+
+
+# (resolution, family, count): interval lengths, and with them the levels a
+# column keeps, differ within a chunk, and from 8 components on numpy sums
+# a lone trial's root cell pairwise
+POINTWISE_FAMILIES = [
+    (6, "random", 9),
+    (8, "random", 8),
+    (6, "misaligned", 12),
+    (6, "singletons", 9),
+    (6, "dyadic", 9),
+]
+
+
+@pytest.mark.parametrize("resolution, family, count", POINTWISE_FAMILIES)
+def test_pointwise_families_match_per_trial(budget, resolution, family, count):
+    budget(1 << resolution)
+    cfg = ExperimentConfig(
+        kind="pointwise", resolution=resolution, trials=TRIALS[resolution] // 2,
+        seed=18, count=count, family=family,
+    )
+    _same_report(cfg, reference_pointwise)
+
+
+def test_trial_block_sums_of_families_of_any_length(budget):
+    # families of 1 to 5 intervals in one stack: every component is the
+    # trial's own block sum, and a shorter family's last components are zero
+    resolution, trials = 5, 7
+    budget(1 << resolution)
+    families, rows = [], []
+    for t in range(trials):
+        rows.append(random_function((19, t, 0), resolution, "gaussian-cells").values)
+        count = 1 + t % 5
+        intervals = ex.random_interval_family((19, t, 1), resolution, count)
+        families.append(family_decompose(intervals))
+    stack = block_sum_stack(np.stack(rows, axis=1), families)
+    assert stack.shape == (5, 1 << resolution, trials)
+    for t, (row, decs) in enumerate(zip(rows, families)):
+        alone = block_sum_family(DyadicFunction(resolution, row), decs).values
+        assert stack[: len(decs), :, t].tobytes() == alone.tobytes()
+        assert not stack[len(decs) :, :, t].any()
+
+
+# (dim, p, q): the asserted d = 1 contraction, then two lattice cases
+LEMMA_CASES = [(1, 2.0, 2.0), (4, 3.0, 3.0), (9, 4.0, np.inf)]
+
+
+@pytest.mark.parametrize("mean_zero", [True, False])
+@pytest.mark.parametrize("components", [4, 9, 12])
+@pytest.mark.parametrize("dim, p, q", LEMMA_CASES)
+@pytest.mark.parametrize("resolution", [0, 4])
+def test_lemma_matches_per_trial(budget, resolution, dim, p, q, components, mean_zero):
+    budget((components * dim) << resolution)
+    cfg = ExperimentConfig(
+        kind="lemma", resolution=resolution, trials=11, seed=17, p=p, q=q, dim=dim,
+        components=components, mean_zero=mean_zero,
+    )
+    _same_report(cfg, reference_lemma)
+
+
+@pytest.mark.parametrize(
+    "kind, generator", [("pointwise", "random_function"), ("lemma", "random_lattice_function")]
+)
+def test_nan_trial_stays_in_its_column(monkeypatch, kind, generator):
+    # one chunk holds every trial; a NaN drawn for trial 7 must fail the run
+    # and leave every other trial's record as it is without the NaN
+    cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3)
+    clean = ex.RUNNERS[kind](cfg).trials
+    real = getattr(ex, generator)
+    first_of_trial_7 = 7 * (1 if kind == "pointwise" else cfg.components)
+    calls = []
+
+    def poisoned(rng, *args):
+        out = real(rng, *args)
+        calls.append(len(calls))
+        if calls[-1] != first_of_trial_7:
+            return out
+        values = out.values.copy()
+        values[0] = np.nan
+        return dataclasses.replace(out, values=values)
+
+    monkeypatch.setattr(ex, generator, poisoned)
+    report = ex.RUNNERS[kind](cfg)
+    assert not report.passed
+    for before, after in zip(clean, report.trials):
+        if after["trial"] == 7:
+            assert any(math.isnan(v) for v in after.values())
+        else:
+            assert after == before
+
+
+def test_pointwise_chunk_memory_stays_within_16_grids():
+    # from N = 14 up a chunk holds one trial; its block sums, sharp and rms
+    # maximal functions must stay within 16 grid arrays (8 MiB at N = 16),
+    # including the bit-reversal table the transforms rebuild
+    resolution = 16
+    cfg = ExperimentConfig(kind="pointwise", resolution=resolution, trials=3, count=4)
+    ex.run_pointwise(cfg)  # lazy set-up outside the traced run
+    walsh.bit_reversal.cache_clear()
+    tracemalloc.start()
+    try:
+        ex.run_pointwise(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (8 << resolution)
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,13 @@ from walshlab.lattice import (
 from walshlab.operators import (
     SeqFunction,
     maximal_function,
+    maximal_function_stack,
     rms_maximal,
+    rms_maximal_stack,
     sharp_maximal,
+    sharp_maximal_stack,
     square_function,
+    square_function_stack,
 )
 from walshlab.walsh import DyadicCell, DyadicFunction, cell_sums
 
@@ -238,6 +242,25 @@ def test_scalar_maximal_functions_match_reference(components, resolution):
         f = DyadicFunction(resolution, row)
         np.testing.assert_array_equal(maximal_function(f).values, ref_maximal_function(f))
         np.testing.assert_array_equal(rms_maximal(f).values, ref_rms_maximal(f))
+
+
+@pytest.mark.parametrize("trials", (1, 3))
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("components", COMPONENTS)
+def test_stack_kernels_match_each_trial(components, resolution, trials):
+    # trials ride along a trailing axis; each column must come out as its
+    # trial alone, also over one cell, where numpy sums the components of a
+    # lone trial pairwise
+    stack = np.stack([_stack(components, resolution, seed) for seed in range(trials)], -1)
+    sharp, square = sharp_maximal_stack(stack), square_function_stack(stack)
+    maximal, rms = maximal_function_stack(stack[0]), rms_maximal_stack(stack[0])
+    for t in range(trials):
+        g = SeqFunction(resolution, stack[..., t])
+        f = DyadicFunction(resolution, stack[0, :, t])
+        np.testing.assert_array_equal(sharp[:, t], sharp_maximal(g).values)
+        np.testing.assert_array_equal(square[:, t], square_function(g).values)
+        np.testing.assert_array_equal(maximal[:, t], maximal_function(f).values)
+        np.testing.assert_array_equal(rms[:, t], rms_maximal(f).values)
 
 
 @pytest.mark.parametrize("resolution", RESOLUTIONS)

@@ -245,6 +245,25 @@ def test_family_count_refused_at_any_trial_count(capsys, family, count, trials):
     assert len(captured.err.strip().split("\n")) == 1
 
 
+def test_monte_carlo_sample_beyond_the_cap_exits_2(capsys, monkeypatch):
+    from walshlab import lattice
+
+    def no_signs(*args, **kwargs):  # the refusal comes before any sign is drawn
+        raise AssertionError("the sample was not refused")
+
+    monkeypatch.setattr(lattice, "_sign_chunks", no_signs)
+    mode = f"mc:{100 * lattice.MC_SAMPLE_LIMIT}"
+    code = main([
+        "vector", "--rad", mode, "--trials", "1", "--resolution", "2", "--count", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("lpr vector: error: ") and mode in lines[0]
+
+
 def test_lemma_draws_no_family_and_is_not_refused(capsys):
     code, _ = run_cli(capsys, "lemma", "--resolution", "1", "--trials", "2")
     assert code == 0

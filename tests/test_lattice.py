@@ -318,6 +318,15 @@ def test_adjointness_brute_force():
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
 
 
+def test_segment_transform_adjoint_refuses_mixed_exponents_and_no_components():
+    decs = family_decompose(random_family(4, 2, seed=3))
+    gs = [random_lattice(4, 2, q=2.0, seed=4), random_lattice(4, 2, q=3.0, seed=5)]
+    with pytest.raises(ValueError, match="different lattice exponents"):
+        segment_transform_adjoint(gs, decs)
+    with pytest.raises(ValueError, match="at least one component"):
+        segment_transform_adjoint([], [])
+
+
 # ---------------------------------------------------------------------------
 # Calderon-Zygmund splitting
 # ---------------------------------------------------------------------------

@@ -11,7 +11,14 @@ sub-blocks.
 import numpy as np
 import pytest
 
-from walshlab.lattice import LatticeFunction, _sign_averaged_pairing, rad_norm_values
+from walshlab.lattice import (
+    MC_SAMPLE_LIMIT,
+    LatticeFunction,
+    _mc_samples,
+    _sign_averaged_pairing,
+    _sign_chunks,
+    rad_norm_values,
+)
 
 
 def all_signs(count):
@@ -75,6 +82,35 @@ def test_rad_norm_values_mc_unchanged(samples):
     got = rad_norm_values(comps, 4.0, mode, seed=[3, samples, 2])
     want = reference_rad_norm_values(comps, 4.0, mode, seed=[3, samples, 2])
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [7, 1000, 4096])
+@pytest.mark.parametrize("count", [1, 3, 7, 12])
+def test_mc_sample_drawn_per_chunk_is_the_one_shot_sample(count, rows):
+    # numpy fills integers(0, 2) from one 32-bit draw per entry and keeps a
+    # buffered half-word in the generator, so chunked draws continue the
+    # stream; the chunked sample must be the one-shot sample, row for row
+    samples = 9000
+    seed = [5, count, rows]
+    whole = np.random.default_rng(seed).integers(0, 2, size=(samples, count))
+    rng = np.random.default_rng(seed)
+    chunks = [
+        rng.integers(0, 2, size=(min(rows, samples - start), count))
+        for start in range(0, samples, rows)
+    ]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    partials, total = _sign_chunks(
+        count, f"mc:{samples}", seed, lambda signs: signs, lambda vals: vals, rows
+    )
+    assert total == samples
+    assert np.concatenate(partials).tobytes() == (1.0 - 2.0 * whole).tobytes()
+
+
+def test_mc_sample_count_is_capped():
+    assert _mc_samples(f"mc:{MC_SAMPLE_LIMIT}") == MC_SAMPLE_LIMIT
+    assert _mc_samples("mc:100000000") == 100_000_000
+    with pytest.raises(ValueError, match="more than the limit"):
+        _mc_samples(f"mc:{MC_SAMPLE_LIMIT + 1}")
 
 
 # (resolution, dim, counts): 16 floats per component take 4,096-row chunks,
