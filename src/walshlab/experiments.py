@@ -15,12 +15,16 @@ constant 1, adjointness, support containment), from "reported" empirical
 constants, which are emitted with max / mean / 99th percentile and never
 asserted to a specific value.
 
-Every campaign runner but `weak11` and `adjoint` works on budgeted chunks of
-trials (`column_chunks`): each trial still draws from its own generators,
-and the chunk's functions are stacked along trailing axes (axis 0 = cells)
-and transformed, reduced and normed together.  `pointwise` stacks the block
-sums of a chunk as (S, cells, T) and `lemma` its draws as (S, cells, d, T)
-for the stack kernels of `operators`.
+Every campaign runner works on budgeted chunks of trials (`column_chunks`):
+each trial still draws from its own generators, and the chunk's functions
+are stacked along trailing axes (axis 0 = cells) and transformed, reduced
+and normed together.  `pointwise` stacks the block sums of a chunk as
+(S, cells, T) and `lemma` its draws as (S, cells, d, T) for the stack
+kernels of `operators`.  `adjoint` stacks f as (cells, T, d) and the
+components as (cells, T*S, d) for the owner-aware segment transform pair.
+`weak11` stacks its components as (cells, T, S, d) and their bad parts at
+every height as (cells, T, S, H, d); its Rademacher leaf norms stay per
+trial, each with its own sign seed [seed, t, 3].
 
 The ratio campaigns for p > 2 open with a fixed block of deterministic
 adversarial probes (a covered Walsh function, anticorrelated cascade
@@ -49,20 +53,19 @@ from .intervals import decompose, family_decompose, verify_decomposition
 from .lattice import (
     LatticeFunction,
     _adjoint_of_stack,
+    _good_parts,
     _mc_samples,
-    _sign_averaged_pairing,
+    _pairings,
+    _segment_columns,
+    _sign_averaged_pairings,
+    _stopping_masks,
     cells_mask,
     cz_decompose,
-    duality_pairing,
     lattice_norm,
     lp_radx_norm,
     lp_x_norm,
     rad_norm_values,
     root_means,
-    segment_transform,
-    segment_transform_adjoint,
-    split_at_cells,
-    stopping_cells,
     verify_cz,
 )
 from .operators import (
@@ -93,6 +96,7 @@ ASSERT_TOL = 1e-10
 # Largest grid a campaign accepts: 2**20 cells, 8 MiB per float array.
 MAX_RESOLUTION = 20
 FAMILIES = ("random", "dyadic", "misaligned", "singletons")
+_MAX_EXP = np.finfo(float).maxexp  # 2.0**e overflows from here on
 
 
 def _check_resolution(resolution: int) -> None:
@@ -136,6 +140,9 @@ class ExperimentConfig:
             1, trials=self.trials, count=self.count, dim=self.dim, components=self.components
         )
         _check_min(0, lam_halfspan=self.lam_halfspan, seed=self.seed)
+        # the weak-type grid scales by 2.0**lam_halfspan, which must be a finite float
+        if self.lam_halfspan >= _MAX_EXP:
+            raise ValueError(f"lam_halfspan must be < {_MAX_EXP}, got {self.lam_halfspan}")
         _check_policy(self.policy)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family policy {self.family!r}")
@@ -730,6 +737,58 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check])
 
 
+def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+    """Trial records of one budgeted chunk of weak-type trials.
+
+    Trial t draws its family and then its components from the next
+    1 + cfg.count generators of `rngs` into a (cells, T, S, d) stack; its
+    leaf norms come from its own sign seed [cfg.seed, t, 3].  The adjoint of
+    the stack, the stopping cells of every height and the adjoint of the
+    (cells, T, S, H, d) bad parts then run on the whole chunk, the heights
+    a budgeted chunk at a time.
+    """
+    n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
+    values = np.empty((n, T, S, cfg.dim))
+    leaves = np.empty((T, n))
+    decs = []
+    for k, t in enumerate(ts):
+        decs += family_decompose(_family(cfg, next(rngs)))
+        gs = [
+            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
+            for _ in range(S)
+        ]
+        values[:, k] = np.stack([g.values for g in gs], axis=1)
+        leaves[k] = rad_norm_values(gs, 2.0, cfg.rad, seed=[cfg.seed, t, 3])
+    owners = np.repeat(np.arange(T), S)
+    columns = values.reshape(n, T * S, cfg.dim)
+    out_norms = lattice_norm(_adjoint_of_stack(columns, decs, owners), cfg.q)  # (cells, T)
+    l1 = leaves.mean(axis=1)
+    med = np.median(out_norms, axis=0)
+    scale = np.where(med > 0, med, np.where(l1 > 0, l1, 1.0))
+    spans = range(-cfg.lam_halfspan, cfg.lam_halfspan + 1)
+    lams = scale[:, None] * np.array([2.0**e for e in spans])  # (T, H)
+    weak = np.empty_like(lams)  # lam * |{out_norms > lam}|
+    excess = [[] for _ in ts]
+    for hs in column_chunks(len(spans), (T * S * cfg.dim) << cfg.resolution):
+        weak[:, hs] = lams[:, hs] * ((out_norms[:, :, None] > lams[:, hs]).sum(axis=0) / n)
+        masks, covered = _stopping_masks(leaves.T, lams[:, hs])
+        bad = _good_parts(values, masks)  # (cells, T, S, H, d)
+        np.subtract(values[:, :, :, None], bad, out=bad)
+        tstar_bad = _adjoint_of_stack(bad.reshape(n, T * S, -1, cfg.dim), decs, owners)
+        off = ~covered
+        worst = np.where(off, lattice_norm(tstar_bad, cfg.q), -np.inf).max(axis=0)
+        for found, row, kept in zip(excess, worst.tolist(), off.any(axis=0).tolist()):
+            found += [value for value, keep in zip(row, kept) if keep]
+    return [
+        {
+            "trial": t,
+            "ratio": _worst(_ratio(num, den) for num in row),
+            "support_excess": _worst(found),
+        }
+        for t, row, den, found in zip(ts, weak.tolist(), l1.tolist(), excess)
+    ]
+
+
 def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     """Weak-type (1,1) behaviour of the adjoint segment transform.
 
@@ -738,67 +797,68 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     stopping cells of its pointwise sign-averaged norm, and check that the
     adjoint transform of the bad part vanishes off the stopping cells.  The
     containment is asserted exactly; the weak-type constant
-    lam * |{|T*g| > lam}| / ||g||_1 is reported over the grid.
+    lam * |{|T*g| > lam}| / ||g||_1 is reported over the grid.  Trials run
+    in chunks whose (cells, T, S, H, d) stack of bad parts fits the column
+    budget (`_weak11_chunk`).
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # a family holds cfg.count intervals, one component g per interval
     rngs = _trial_generators(cfg, (1, *range(10, 10 + cfg.count)))
+    heights = 2 * cfg.lam_halfspan + 1
     trials = []
-    for t in range(cfg.trials):
-        decs = family_decompose(_family(cfg, next(rngs)))
-        gs = [
-            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-            for _ in decs
-        ]
-        stack = np.stack([g.values for g in gs], axis=1)  # (cells, S, d)
-        tstar = LatticeFunction(cfg.resolution, _adjoint_of_stack(stack, decs), cfg.q)
-        out_norms = tstar.norm_values()
-        leaf = rad_norm_values(gs, 2.0, cfg.rad, seed=[cfg.seed, t, 3])
-        l1 = float(leaf.mean())
-        med = float(np.median(out_norms))
-        scale = med if med > 0 else (l1 if l1 > 0 else 1.0)
-        lams = [scale * 2.0**e for e in range(-cfg.lam_halfspan, cfg.lam_halfspan + 1)]
-        weak, excess = [], []
-        for chunk in column_chunks(len(lams), stack.size):
-            stops = [stopping_cells(leaf, lam) for lam in lams[chunk]]
-            bad = np.stack(  # (cells, S, heights, d): every height in one adjoint pass
-                [split_at_cells(stack, cells, cfg.resolution)[0] for cells in stops],
-                axis=2,
-            )
-            tstar_bad = _adjoint_of_stack(bad, decs)
-            for k, (lam, cells) in enumerate(zip(lams[chunk], stops)):
-                tstar_b = LatticeFunction(cfg.resolution, tstar_bad[:, k], cfg.q)
-                off = ~cells_mask(cells, cfg.resolution)
-                if off.any():
-                    excess.append(float(tstar_b.norm_values()[off].max()))
-                weak.append(_ratio(lam * float((out_norms > lam).mean()), l1))
-        trials.append(
-            {"trial": t, "ratio": _worst(weak), "support_excess": _worst(excess)}
-        )
+    for chunk in column_chunks(cfg.trials, (cfg.count * heights * cfg.dim) << cfg.resolution):
+        trials += _weak11_chunk(cfg, range(chunk.start, chunk.stop), rngs)
     worst_excess = _worst(rec["support_excess"] for rec in trials)
     check = _bounded("adjoint of bad part supported on stopping cells", worst_excess, 0.0)
     return _report(cfg, trials, [check], worst_support_excess=worst_excess)
 
 
+def _adjointness_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+    """Trial records of one budgeted chunk of adjointness trials.
+
+    Trial t draws f, its family and its components from the next
+    2 + cfg.count generators of `rngs` into a (cells, T, d) and a (cells,
+    T, S, d) stack.  One forward and one adjoint pass transform the whole
+    chunk; both pairings are taken per trial row.
+    """
+    n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
+
+    def draw():
+        return random_lattice_function(
+            next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy
+        ).values
+
+    f = np.empty((n, T, cfg.dim))
+    gs = np.empty((n, T, S, cfg.dim))
+    decs = []
+    for k in range(T):
+        f[:, k] = draw()
+        decs += family_decompose(_family(cfg, next(rngs)))
+        gs[:, k] = np.stack([draw() for _ in range(S)], axis=1)
+    owners = np.repeat(np.arange(T), S)
+    tstar = _adjoint_of_stack(gs.reshape(n, T * S, cfg.dim), decs, owners)  # (cells, T, d)
+    tf = _segment_columns(f, decs, owners).reshape(n, T, S, cfg.dim)
+    rhs = _pairings(np.moveaxis(f, 0, -2), np.moveaxis(tstar, 0, -2))
+    lhs = _sign_averaged_pairings(tf.transpose(2, 1, 0, 3), gs.transpose(2, 1, 0, 3))
+    return [
+        {"trial": t, "lhs": left, "rhs": right, "residual": abs(left - right) / (1.0 + abs(right))}
+        for t, left, right in zip(ts, lhs.tolist(), rhs.tolist())
+    ]
+
+
 def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
-    """Exact adjointness of the segment transform pair under sign averaging."""
+    """Exact adjointness of the segment transform pair under sign averaging.
+
+    Trials run in chunks whose (cells, T, S, d) component stack fits the
+    column budget (`_adjointness_chunk`).
+    """
     if cfg.rad != "exact":
         raise ValueError("adjointness requires exact sign mode")
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     rngs = _trial_generators(cfg, (0, 1, *range(10, 10 + cfg.count)))
     trials = []
-    for t in range(cfg.trials):
-        f = random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-        decs = family_decompose(_family(cfg, next(rngs)))
-        gs = [
-            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-            for _ in decs
-        ]
-        tf = segment_transform(f, decs)
-        rhs = duality_pairing(f, segment_transform_adjoint(gs, decs))
-        lhs = _sign_averaged_pairing(tf, gs)
-        residual = abs(lhs - rhs) / (1.0 + abs(rhs))
-        trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "residual": residual})
+    for chunk in column_chunks(cfg.trials, (cfg.count * cfg.dim) << cfg.resolution):
+        trials += _adjointness_chunk(cfg, range(chunk.start, chunk.stop), rngs)
     worst = _worst(rec["residual"] for rec in trials)
     return _report(cfg, trials, [_bounded("adjointness residual", worst, 0.0)], "residual")
 

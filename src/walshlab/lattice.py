@@ -13,7 +13,8 @@ array of cell values.  On top of that this module provides
   projects f onto the contiguous segment {a_s} u (left pieces); the adjoint
   recombines a component family with the same blocks and modulations, and the
   two are exact adjoints for the sign-averaged coordinatewise pairing; both
-  run on the block-sum engine of `operators`;
+  run on the block-sum engine of `operators`, on one family or, with one
+  owner trial per column, on a (cells, T*S, ...) stack of T families;
 * the Calderon-Zygmund splitting at a height lam: stop at the maximal dyadic
   cells whose average pointwise norm exceeds lam, replace the function by its
   mean on each stopping cell (good part h), and keep the remainder (bad part
@@ -22,7 +23,11 @@ array of cell values.  On top of that this module provides
   is not selected, i.e. whenever lam >= the L^1 norm of the pointwise norms.
   The bad part has zero mean, its level-n martingale difference is supported
   on the stopping cells of level <= n-1, and the stopping cells have total
-  measure at most (L^1 norm)/lam.
+  measure at most (L^1 norm)/lam.  `_stopping_masks` selects the stopping
+  cells of many heights and trials from one cell-sum pyramid, and
+  `_good_parts` freezes a (cells, T, S, d) stack of families on them at
+  every height at once, (cells, T, S, H, d); `stopping_cells` and
+  `split_at_cells` run them on one family and one height.
 """
 
 from __future__ import annotations
@@ -314,47 +319,73 @@ def lp_radx_norm(
     return float(root_means(cell_norms[None], p, p)[0])
 
 
+def _pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Integral over [0,1) of the coordinatewise dot product of f and g, for
+    (..., cells, d) stacks.  The product is laid out in C order, so both
+    reductions run along contiguous rows and every leading entry gets the
+    bits of its own pair alone, whatever the layout of f and g."""
+    return np.multiply(f, g, order="C").sum(axis=-1).mean(axis=-1)
+
+
+def _sign_averaged_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Average over all exact signs e of the pairing of sum_s e_s left_s with
+    sum_s e_s right_s, for each trial of two (S, T, cells, d) stacks.
+
+    Each trial folds its sign rows' pairings in row order.
+    """
+    count = left.shape[0]
+
+    def pairings(signs):  # (rows, T) pairings of a block of sign rows
+        lsum = np.zeros(signs.shape[:1] + left.shape[1:])
+        rsum = np.zeros_like(lsum)
+        term = np.empty_like(lsum)
+        for s in range(count):
+            col = signs[:, s, None, None, None]
+            lsum += np.multiply(col, left[s], out=term)
+            rsum += np.multiply(col, right[s], out=term)
+        del term
+        return _pairings(lsum, rsum)
+
+    # the largest power of two of rows whose (rows, T, cells, d) arrays fit the budget
+    fit = min(_SIGN_CHUNK, max(1, _PAIRING_BUDGET // left[0].size))
+    rows = 1 << (fit.bit_length() - 1)
+    partials, total = _sign_chunks(count, "exact", None, pairings, lambda vals: vals, rows)
+    acc = np.zeros(left.shape[1])
+    for part in partials:
+        for values in part:
+            acc += values
+    return acc / total
+
+
 def _sign_averaged_pairing(
     left: Sequence[LatticeFunction], right: Sequence[LatticeFunction]
 ) -> float:
-    """Average over all exact signs e of the pairing of sum_s e_s left_s with
-    sum_s e_s right_s.
-
-    Each sign row's pairing is a Python float, folded in row order.
-    """
-    a, b = _stacked(left), _stacked(right)  # (S, cells, d) each
-
-    def pairings(signs):
-        asum = np.zeros(signs.shape[:1] + a.shape[1:])
-        bsum = np.zeros_like(asum)
-        for s in range(a.shape[0]):
-            col = signs[:, s, None, None]
-            asum += col * a[s]
-            bsum += col * b[s]
-        return (asum * bsum).sum(axis=2).mean(axis=1)
-
-    # the largest power of two of rows whose (rows, cells, d) arrays fit the budget
-    fit = min(_SIGN_CHUNK, max(1, _PAIRING_BUDGET // a[0].size))
-    rows = 1 << (fit.bit_length() - 1)
-    partials, total = _sign_chunks(
-        a.shape[0], "exact", None, pairings, lambda vals: vals, rows
-    )
-    acc = 0.0
-    for part in partials:
-        for value in part.tolist():
-            acc += value
-    return acc / total
+    """`_sign_averaged_pairings` of one pair of component families."""
+    return float(_sign_averaged_pairings(_stacked(left)[:, None], _stacked(right)[:, None])[0])
 
 
 def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
     """Integral over [0,1) of the coordinatewise dot product."""
     f._check_compatible(g)
-    return float((f.values * g.values).sum(axis=1).mean())
+    return float(_pairings(f.values, g.values))
 
 
 def _segments(decomps: Sequence[Decomposition]) -> tuple[list[int], list[tuple]]:
     """Anchors and kept levels of the segments: level 0 plus the left-piece levels."""
     return [d.anchor for d in decomps], [(0, *d.left_levels) for d in decomps]
+
+
+def _segment_columns(
+    values: np.ndarray, decomps: Sequence[Decomposition], owners=None
+) -> np.ndarray:
+    """Forward transform of a (cells, ...) stack: (cells, S, ...), column s for
+    decomps[s].  With `owners`, `values` is a (cells, T, ...) stack of T
+    trials and column s transforms trial owners[s]."""
+    trailing = values.shape[1:] if owners is None else values.shape[2:]
+    out = np.empty((values.shape[0], len(decomps), *trailing))
+    for sl, comps in _block_sum_chunks(values, *_segments(decomps), owners):
+        out[:, sl] = comps
+    return out
 
 
 def segment_transform(
@@ -366,20 +397,21 @@ def segment_transform(
     anchor level 0 and the left-piece levels; multiplied back by w_{a_s} it
     is the spectral projection of f onto the segment {a_s} u (left pieces).
     """
-    return [
-        LatticeFunction(f.resolution, comps[:, s], f.q)
-        for _, comps in _block_sum_chunks(f.values, *_segments(decomps))
-        for s in range(comps.shape[1])
-    ]
+    comps = _segment_columns(f.values, decomps)
+    return [LatticeFunction(f.resolution, comps[:, s], f.q) for s in range(len(decomps))]
 
 
-def _adjoint_of_stack(stacked: np.ndarray, decomps: Sequence[Decomposition]) -> np.ndarray:
+def _adjoint_of_stack(
+    stacked: np.ndarray, decomps: Sequence[Decomposition], owners=None
+) -> np.ndarray:
     """Adjoint transform of a (cells, S, ...) component stack; returns (cells, ...).
 
     Trailing axes are transformed independently, so several families can be
-    recombined in one pass; the terms add up in component order.
+    recombined in one pass; the terms add up in component order.  With
+    `owners` (non-decreasing), column s belongs to trial owners[s] and the
+    result is the (cells, T, ...) stack of the trials' own sums.
     """
-    return _block_sums_adjoint(stacked, *_segments(decomps))
+    return _block_sums_adjoint(stacked, *_segments(decomps), owners)
 
 
 def segment_transform_adjoint(
@@ -430,36 +462,79 @@ def cells_mask(cells: Iterable[DyadicCell], resolution: int) -> np.ndarray:
     return mask
 
 
-def stopping_cells(leaf_norms: np.ndarray, lam: float) -> list[DyadicCell]:
-    """Maximal dyadic cells whose average of `leaf_norms` exceeds lam.
+def _stopping_masks(leaf_norms: np.ndarray, lams) -> tuple[list[np.ndarray], np.ndarray]:
+    """Stopping cells of every height at once, from one cell-sum pyramid.
 
-    Top-down sweep; a cell is selected iff its average is strictly above lam
-    and no ancestor was selected.
+    `leaf_norms` is a (cells, ...) stack and `lams` a (..., H) array of
+    heights, the leading axes matching the trailing axes of the stack.  Top
+    down, a cell is selected at a height iff its average is strictly above
+    it and no ancestor was selected.  Returns per level m = 0..N the
+    (2**m, ..., H) mask of the selected level-m cells, and the (cells, ...,
+    H) mask of their union.
     """
-    if not lam > 0:
-        raise ValueError(f"threshold must be positive, got {lam}")
+    lams = np.asarray(lams, dtype=float)
+    bad = ~(lams > 0)
+    if bad.any():
+        raise ValueError(f"threshold must be positive, got {lams[bad][0]}")
     sums = list(cell_sums(leaf_norms))[::-1]  # sums[m] holds the level-m cell sums
     resolution = len(sums) - 1
-    cells: list[DyadicCell] = []
-    covered = np.zeros(1, dtype=bool)
+    masks = []
+    covered = np.zeros((1, *lams.shape), dtype=bool)
     for m in range(resolution + 1):
         count = 1 << (resolution - m)
-        selected = (sums[m] / count > lam) & ~covered
-        cells.extend(DyadicCell(m, int(pos)) for pos in np.flatnonzero(selected))
-        covered |= selected
+        selected = (sums[m][..., None] / count > lams) & ~covered
+        masks.append(selected)
+        covered = covered | selected
         if m < resolution:
-            covered = np.repeat(covered, 2)
-    return cells
+            covered = np.repeat(covered, 2, axis=0)
+    return masks, covered
+
+
+def stopping_cells(leaf_norms: np.ndarray, lam: float) -> list[DyadicCell]:
+    """Maximal dyadic cells whose average of `leaf_norms` exceeds lam (`_stopping_masks`)."""
+    return [
+        DyadicCell(m, int(pos))
+        for m, selected in enumerate(_stopping_masks(leaf_norms, [lam])[0])
+        for pos in np.flatnonzero(selected)
+    ]
+
+
+def _good_parts(values: np.ndarray, masks: Sequence[np.ndarray]) -> np.ndarray:
+    """Good parts of T component families at H heights: (cells, T, S, H, d).
+
+    `values` is a (cells, T, S, d) stack and masks[m] the (2**m, T, H) mask
+    of the level-m stopping cells (`_stopping_masks`).  On a stopping cell
+    the family is frozen to its mean over the cell; each mean reduces the
+    cell's (k, S, d) block of rows as `values[cell].mean(axis=0)` does for
+    one C-ordered family: one row at a time, or pairwise when S * d = 1.
+    """
+    n, trials, comps, dim = values.shape
+    heights = masks[0].shape[-1]
+    good = np.empty((n, trials, comps, heights, dim))
+    good[...] = values[:, :, :, None]
+    for m, selected in enumerate(masks):
+        cells, ts = np.nonzero(selected.any(axis=-1))  # stopped at some height
+        if not cells.size:
+            continue
+        width = n >> m
+        blocks = values.reshape(1 << m, width, trials, comps, dim)[cells, :, ts]
+        means = np.ascontiguousarray(blocks).mean(axis=1)  # (pairs, S, d)
+        pairs, hs = np.nonzero(selected[cells, ts])
+        view = good.reshape(1 << m, width, trials, comps, heights, dim)
+        view[cells[pairs], :, ts[pairs], :, hs] = means[pairs, None]
+    return good
 
 
 def split_at_cells(
     values: np.ndarray, cells: Sequence[DyadicCell], resolution: int
 ):
     """Good/bad split of raw cell values over the given stopping cells."""
-    good = values.copy()
+    masks = [np.zeros((1 << m, 1, 1), dtype=bool) for m in range(resolution + 1)]
     for cell in cells:
-        sl = cell.grid_slice(resolution)
-        good[sl] = values[sl].mean(axis=0)
+        cell.grid_slice(resolution)  # refuses a cell finer than the grid
+        masks[cell.level][cell.position] = True
+    good = _good_parts(values.reshape(values.shape[0], 1, -1, 1), masks)
+    good = good.reshape(values.shape)
     return values - good, good
 
 

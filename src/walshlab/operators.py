@@ -9,11 +9,15 @@ Theta_s its left-piece levels (`block_sum_family`).  Multiplying component s
 by w_{a_s} recovers the spectral projection of f onto the union of the left
 pieces, which is how the square function of arbitrary interval projections is
 reduced to martingale machinery.  One private engine computes these block
-sums for every caller: `_anchor_columns` builds the anchor functions and
+sums for every caller: `_anchor_columns` builds the anchor functions (one
+parity evaluation of the bit-reversal table against a chunk's anchors) and
 kept index ranges, `_block_sum_chunks` runs the forward map on a (cells, ...)
 stack one budgeted chunk of anchors at a time, and `_block_sums_adjoint` is
-its adjoint.  The lattice segment transform pair is the same engine run
-with level 0 added to the left-piece levels.
+its adjoint.  Given `owners`, one trial per anchor column, the forward map
+modulates only that trial's column of a (cells, T, ...) stack and the
+adjoint adds each column of a (cells, C, ...) stack into that trial's
+accumulator, in component order.  The lattice segment transform pair is the
+same engine run with level 0 added to the left-piece levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -43,10 +47,10 @@ from .intervals import Decomposition
 from .walsh import (
     DyadicFunction,
     ResolutionError,
+    _walsh_columns,
     cell_sums,
     column_chunks,
     project_columns,
-    walsh_eval,
 )
 
 
@@ -88,7 +92,7 @@ def _anchor_columns(anchors, levels, resolution: int, ndim: int):
                 raise ResolutionError(f"level {j} exceeds resolution {resolution}")
             blk = delta_block(j)
             ranges[-1].append((blk.lo, blk.hi))
-    w = np.stack([walsh_eval(a, resolution).values for a in anchors], axis=1)
+    w = _walsh_columns(anchors, resolution)
     return w.reshape(w.shape + (1,) * (ndim - 2)), ranges
 
 
@@ -97,21 +101,19 @@ def _block_sum_chunks(values: np.ndarray, anchors, levels, owners=None):
 
     Column s sums the martingale differences of w_{a_s} * values over its
     levels; trailing axes of the (cells, ...) stack ride along.  With
-    `owners`, `values` is a (cells, T) stack of scalar functions and column s
-    modulates column owners[s] alone.
+    `owners`, `values` is a (cells, T, ...) stack of T trials and column s
+    modulates trial owners[s] alone.
     """
     resolution = values.shape[0].bit_length() - 1
     if owners is None:
         ndim, column_cells = values.ndim + 1, values.size
     else:
-        ndim, column_cells = 2, values.shape[0]
+        ndim, column_cells = values.ndim, values[:, 0].size
     for sl in column_chunks(len(anchors), column_cells):
         w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, ndim)
+        picked = values[:, None] if owners is None else values[:, owners[sl]]
         # scalar columns are modulated in the anchor columns themselves
-        if owners is None:
-            modulated = np.multiply(w, values[:, None], out=w if values.ndim == 1 else None)
-        else:
-            modulated = np.multiply(w, values[:, owners[sl]], out=w)
+        modulated = np.multiply(w, picked, out=w if ndim == 2 else None)
         (sums,) = project_columns(modulated, [ranges])
         yield sl, sums
 
@@ -137,17 +139,32 @@ def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
     return out
 
 
-def _block_sums_adjoint(stacked: np.ndarray, anchors, levels) -> np.ndarray:
-    """Adjoint of `_block_sum_chunks` on a (cells, S, ...) stack: the sum, in
-    column order, of w_{a_s} times the block sums of column s."""
+def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners=None) -> np.ndarray:
+    """Adjoint of `_block_sum_chunks` on a (cells, C, ...) stack of C columns.
+
+    Returns the sum, in column order, of w_{a_c} times the block sums of
+    column c: one (cells, ...) sum, or with `owners` (non-decreasing, one
+    trial per column) the (cells, T, ...) stack whose trial t sums its own
+    columns in order.  Within a chunk the k-th columns of all trials are
+    added in one step, k = 0, 1, ...
+    """
     resolution = stacked.shape[0].bit_length() - 1
-    acc = np.zeros(stacked.shape[:1] + stacked.shape[2:])
-    for sl in column_chunks(len(anchors), acc.size):
+    single = owners is None
+    if single:
+        owners = np.zeros(len(anchors), dtype=int)
+    owners = np.asarray(owners)
+    trials = int(owners[-1]) + 1 if owners.size else 1
+    acc = np.zeros((stacked.shape[0], trials, *stacked.shape[2:]))
+    # rank of each column among the columns of its trial
+    ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
+    for sl in column_chunks(len(anchors), stacked[:, 0].size):
         w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, stacked.ndim)
         (blocks,) = project_columns(stacked[:, sl], [ranges])
-        for s in range(blocks.shape[1]):
-            acc += w[:, s] * blocks[:, s]
-    return acc
+        blocks *= w
+        for rank in np.unique(ranks[sl]).tolist():
+            cols = np.flatnonzero(ranks[sl] == rank)
+            acc[:, owners[sl][cols]] += blocks[:, cols]
+    return acc[:, 0] if single else acc
 
 
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:

@@ -200,22 +200,36 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return _butterfly(a)
 
 
+def _walsh_columns(indices, resolution: int) -> np.ndarray:
+    """(cells, len(indices)) samples of the Walsh functions w_n, n in `indices`.
+
+    The value of w_n on cell j is the product over the set binary digits k
+    of n of the (k+1)-th Rademacher function, which on cell j equals (-1)
+    raised to the (k+1)-th leading binary digit of j: -1 where the bits
+    shared by n and the bit reversal of j have odd parity, +1 elsewhere.
+    Requires every n < 2**resolution, otherwise w_n is not constant on
+    cells.  The only temporary as large as the result is the (cells, s)
+    table of shared bits.
+    """
+    for n in indices:
+        check_index(n, "n")
+        if n >= (1 << resolution):
+            raise ResolutionError(
+                f"index {n} is not resolved on a generation-{resolution} grid"
+            )
+    shared = bit_reversal(resolution)[:, None] & np.array(indices)
+    parity = np.bitwise_count(shared)
+    del shared
+    parity &= 1
+    return np.where(parity, -1.0, 1.0)
+
+
 def walsh_eval(n: int, resolution: int) -> DyadicFunction:
     """Sample the n-th Walsh function on the generation-`resolution` grid.
 
-    The value on cell j is the product over the set binary digits k of n of
-    the (k+1)-th Rademacher function, which on cell j equals (-1) raised to
-    the (k+1)-th leading binary digit of j.  Requires n < 2**resolution,
-    otherwise the function is not constant on cells.
+    Requires n < 2**resolution (see `_walsh_columns`).
     """
-    check_index(n, "n")
-    if n >= (1 << resolution):
-        raise ResolutionError(
-            f"index {n} is not resolved on a generation-{resolution} grid"
-        )
-    rev = bit_reversal(resolution)
-    parity = np.bitwise_count(np.bitwise_and(rev, n)) & 1
-    return DyadicFunction(resolution, 1.0 - 2.0 * parity.astype(float))
+    return DyadicFunction(resolution, _walsh_columns([n], resolution)[:, 0])
 
 
 def _reversed_copy(values: np.ndarray) -> np.ndarray:

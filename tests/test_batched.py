@@ -240,7 +240,12 @@ def _adjoint(components, decs):
     return LatticeFunction(first.resolution, acc, first.q)
 
 
-def reference_weak11(cfg):
+def reference_weak11(cfg, family_split=False):
+    """Per-trial weak-type campaign.  Each component is split at the stopping
+    cells on its own, or with `family_split` the family as one (cells, S, d)
+    array, as the campaign does.  The two differ at d = 1 from two components
+    on: numpy sums a lone component's (k, 1) cell block pairwise, a family's
+    (k, S, 1) block one row at a time."""
     n = cfg.resolution
     trials = []
     for t in range(cfg.trials):
@@ -258,9 +263,13 @@ def reference_weak11(cfg):
         for e in range(-cfg.lam_halfspan, cfg.lam_halfspan + 1):
             lam = scale * 2.0**e
             cells = stopping_cells(leaf, lam)
-            bs = [
-                LatticeFunction(n, split_at_cells(g.values, cells, n)[0], g.q) for g in gs
-            ]
+            if family_split:
+                bad = split_at_cells(np.stack([g.values for g in gs], axis=1), cells, n)[0]
+                bs = [LatticeFunction(n, bad[:, s], cfg.q) for s in range(len(gs))]
+            else:
+                bs = [
+                    LatticeFunction(n, split_at_cells(g.values, cells, n)[0], g.q) for g in gs
+                ]
             tstar_b = _adjoint(bs, decs)
             mask = np.zeros(1 << n, dtype=bool)
             for cell in cells:
@@ -486,15 +495,23 @@ def test_lemma_matches_per_trial(budget, resolution, dim, p, q, components, mean
 
 
 @pytest.mark.parametrize(
-    "kind, generator", [("pointwise", "random_function"), ("lemma", "random_lattice_function")]
+    "kind, generator",
+    [
+        ("pointwise", "random_function"),
+        ("lemma", "random_lattice_function"),
+        ("weak11", "random_lattice_function"),
+        ("adjoint", "random_lattice_function"),
+    ],
 )
 def test_nan_trial_stays_in_its_column(monkeypatch, kind, generator):
-    # one chunk holds every trial; a NaN drawn for trial 7 must fail the run
-    # and leave every other trial's record as it is without the NaN
+    # a chunk holds trial 7 and at least six more; a NaN drawn for trial 7
+    # must fail the run and leave every other trial's record as it is
+    # without the NaN
     cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3)
     clean = ex.RUNNERS[kind](cfg).trials
     real = getattr(ex, generator)
-    first_of_trial_7 = 7 * (1 if kind == "pointwise" else cfg.components)
+    draws = {"pointwise": 1, "lemma": cfg.components, "weak11": cfg.count}
+    first_of_trial_7 = 7 * draws.get(kind, 1 + cfg.count)  # adjoint: f, then the g's
     calls = []
 
     def poisoned(rng, *args):
@@ -533,6 +550,27 @@ def test_pointwise_chunk_memory_stays_within_16_grids():
     assert peak <= 16 * (8 << resolution)
 
 
+def test_weak11_chunk_memory_stays_within_20_grids():
+    # from N = 14 up a chunk holds one trial and one height of it at a time.
+    # Its components, T* and the bad parts of one height (2 + 1 + 2 grids at
+    # two components), leaf and output norms (2), and the transform pass over
+    # the bad parts: anchor columns, coefficients, kept coefficients,
+    # synthesized blocks and the butterflies' scratch (2 each, 10 grids), plus
+    # the bit-reversal table (1): 18 grids.  All 13 heights at once would
+    # hold 26 grids of bad parts alone.
+    resolution = 14
+    cfg = ExperimentConfig(kind="weak11", resolution=resolution, trials=2, count=2)
+    ex.run_weak11(cfg)  # lazy set-up outside the traced run
+    walsh.bit_reversal.cache_clear()
+    tracemalloc.start()
+    try:
+        ex.run_weak11(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * (8 << resolution)
+
+
 @pytest.mark.parametrize(
     "dim, p, q, rad", [(1, 4.0, 2.0, "exact"), (3, 2.0, 2.0, "exact"), (2, 3.0, 3.0, "mc:32")]
 )
@@ -560,6 +598,55 @@ def test_adjoint_matches_per_trial(budget, resolution):
     budget(2 << resolution)
     cfg = ExperimentConfig(
         kind="adjoint", resolution=resolution, trials=7, seed=15, dim=2, count=4
+    )
+    _same_report(cfg, reference_adjoint)
+
+
+# (resolution, family, count, dim, lam_halfspan, rad): 8 and more components,
+# where a sum along a contiguous component axis would be pairwise, and one
+# component at d = 1, where every cell mean of a stopping cell is pairwise
+WEAK11_CASES = [
+    (6, "random", 8, 1, 6, "exact"),
+    (6, "misaligned", 9, 3, 0, "exact"),
+    (6, "singletons", 12, 1, 6, "exact"),
+    (6, "dyadic", 3, 3, 6, "exact"),
+    (5, "random", 9, 3, 6, "mc:32"),
+    (4, "dyadic", 12, 3, 0, "exact"),
+    (4, "random", 1, 1, 6, "exact"),
+]
+
+
+@pytest.mark.parametrize("resolution, family, count, dim, lam_halfspan, rad", WEAK11_CASES)
+def test_weak11_families_match_per_trial(
+    budget, resolution, family, count, dim, lam_halfspan, rad
+):
+    # three trials a chunk, or from one trial over the budget on, a chunk of heights
+    budget((count * (2 * lam_halfspan + 1) * dim) << resolution)
+    cfg = ExperimentConfig(
+        kind="weak11", resolution=resolution, trials=7, seed=20, dim=dim, count=count,
+        family=family, lam_halfspan=lam_halfspan, rad=rad,
+    )
+    family_split = dim == 1 and count > 1  # where the two splits differ
+    _same_report(cfg, lambda cfg: reference_weak11(cfg, family_split))
+
+
+# (resolution, family, count, dim)
+ADJOINT_CASES = [
+    (6, "random", 3, 1),
+    (5, "misaligned", 8, 3),
+    (6, "singletons", 9, 1),
+    (4, "dyadic", 12, 3),
+    (6, "dyadic", 8, 1),
+    (3, "random", 1, 1),
+]
+
+
+@pytest.mark.parametrize("resolution, family, count, dim", ADJOINT_CASES)
+def test_adjoint_families_match_per_trial(budget, resolution, family, count, dim):
+    budget((count * dim) << resolution)
+    cfg = ExperimentConfig(
+        kind="adjoint", resolution=resolution, trials=7, seed=21, dim=dim, count=count,
+        family=family,
     )
     _same_report(cfg, reference_adjoint)
 

@@ -16,6 +16,7 @@ from walshlab.lattice import (
     LatticeFunction,
     cells_mask,
     cz_decompose,
+    split_at_cells,
     stopping_cells,
     verify_cz,
 )
@@ -106,6 +107,14 @@ def ref_stopping_cells(leaf_norms, lam):
         if m < resolution:
             covered = np.repeat(covered, 2)
     return cells
+
+
+def ref_split_at_cells(values, cells, resolution):
+    good = values.copy()
+    for cell in cells:
+        sl = cell.grid_slice(resolution)
+        good[sl] = values[sl].mean(axis=0)
+    return values - good, good
 
 
 def _ref_bad_set_mask(result, max_level=None):
@@ -273,6 +282,26 @@ def test_cz_layer_matches_reference(dim, resolution):
         assert cells == ref_stopping_cells(norms, lam)
         result = cz_decompose(g, lam)
         assert verify_cz(result, g) == ref_verify_cz(result, g)
+
+
+# one family's trailing shape: a lone scalar or d = 1 component, whose cell
+# means numpy sums pairwise, and families whose means it sums row by row
+FAMILY_SHAPES = ((), (1,), (1, 1), (3,), (12, 1), (4, 3))
+
+
+@pytest.mark.parametrize("resolution", (1, 5, 9))
+@pytest.mark.parametrize("shape", FAMILY_SHAPES)
+def test_split_at_cells_matches_reference(shape, resolution):
+    n = 1 << resolution
+    # C order, as a LatticeFunction holds them: an F-ordered family's cell
+    # means would be pairwise sums over the contiguous cell axis
+    values = np.ascontiguousarray(_stack(int(np.prod(shape)), resolution).T).reshape(n, *shape)
+    norms = np.abs(values).reshape(n, -1).sum(axis=1)
+    for lam in _heights(norms):
+        cells = stopping_cells(norms, lam)
+        split = split_at_cells(values, cells, resolution)
+        for got, ref in zip(split, ref_split_at_cells(values, cells, resolution)):
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("resolution", (1, 5, 9))

@@ -509,6 +509,18 @@ def test_weak11_single_height_grid():
         dataclasses.replace(cfg, lam_halfspan=-1)
 
 
+def test_weak11_halfspan_stays_within_float_range():
+    # 2.0**1023 is the largest finite power of two; 2.0**1024 overflows, so
+    # the config itself refuses that span, before any trial can run
+    limit = np.finfo(float).maxexp
+    cfg = ExperimentConfig(
+        kind="weak11", resolution=2, trials=3, count=1, lam_halfspan=limit - 1
+    )
+    assert run_weak11(cfg).passed
+    with pytest.raises(ValueError, match="lam_halfspan"):
+        dataclasses.replace(cfg, lam_halfspan=limit)
+
+
 def test_config_admits_the_largest_benchmarked_grid():
     assert MAX_RESOLUTION >= 18
     ExperimentConfig(kind="scalar", resolution=18, q=float("inf"))
