@@ -44,7 +44,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -274,10 +274,18 @@ def _generators(keys):
             yield rng
 
 
-def _trial_generators(cfg: ExperimentConfig, streams, start: int = 0):
-    """`_generators` of the keys (cfg.seed, t, s): trial t from `start` on,
-    and within a trial each stream s in the given order."""
-    return _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
+def _chunked_trials(cfg: ExperimentConfig, chunk, streams, cells: int, start: int = 0):
+    """Trial records of `chunk(cfg, ts, rngs)` over the budgeted chunks ts of
+    the trials, `cells` floats a trial (`column_chunks`).
+
+    `rngs` yields the `_generators` of the keys (cfg.seed, t, s): trial t
+    from `start` on, and within a trial each stream s in the given order.
+    """
+    rngs = _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
+    trials = []
+    for sl in column_chunks(cfg.trials, cells):
+        trials += chunk(cfg, range(sl.start, sl.stop), rngs)
+    return trials
 
 
 def _rng(seed) -> np.random.Generator:
@@ -535,7 +543,7 @@ def _regime(p: float) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chunk(cfg: ExperimentConfig, probes, ts: range, rngs) -> list[dict]:
+def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, probes) -> list[dict]:
     """Trial records of one budgeted chunk of scalar trials.
 
     Each random trial is drawn from the next two generators of `rngs` (its
@@ -571,10 +579,8 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     probes = _scalar_probes(cfg.resolution) if cfg.probes else []
-    rngs = _trial_generators(cfg, (0, 1), start=len(probes))
-    trials = []
-    for chunk in column_chunks(cfg.trials, 1 << cfg.resolution):
-        trials += _scalar_chunk(cfg, probes, range(chunk.start, chunk.stop), rngs)
+    chunk = partial(_scalar_chunk, probes=probes)
+    trials = _chunked_trials(cfg, chunk, (0, 1), 1 << cfg.resolution, start=len(probes))
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2:
         checks = [_bounded("ratio<=1 at p=2", worst, 1.0)]
@@ -616,11 +622,8 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     fits the column budget (`_pointwise_chunk`).
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
-    rngs = _trial_generators(cfg, (0, 1))
-    trials = []
     # the budget covers the cfg.count block sums a chunk of trials keeps
-    for chunk in column_chunks(cfg.trials, cfg.count << cfg.resolution):
-        trials += _pointwise_chunk(cfg, range(chunk.start, chunk.stop), rngs)
+    trials = _chunked_trials(cfg, _pointwise_chunk, (0, 1), cfg.count << cfg.resolution)
     worst_ratio = _worst(rec["ratio"] for rec in trials)
     worst_excess = _worst((rec["excess"] for rec in trials), -np.inf)
     check = _bounded("pointwise sharp <= rms maximal (constant 1)", worst_ratio, 1.0)
@@ -668,11 +671,9 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     function value so the two formulations can be compared.
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
-    rngs = _trial_generators(cfg, (0, 1))
-    trials = []
     # the budget covers all cfg.count projections a chunk of trials keeps
-    for chunk in column_chunks(cfg.trials, (cfg.count * cfg.dim) << cfg.resolution):
-        trials += _vector_chunk(cfg, range(chunk.start, chunk.stop), rngs)
+    cells = (cfg.count * cfg.dim) << cfg.resolution
+    trials = _chunked_trials(cfg, _vector_chunk, (0, 1), cells)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2 and cfg.q == 2 and cfg.rad == "exact":
         check = _bounded("ratio<=1 at p=q=2 exact signs", worst, 1.0)
@@ -724,11 +725,9 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     whose (S, cells, d, T) stack of draws fits the column budget
     (`_lemma_chunk`).
     """
-    rngs = _trial_generators(cfg, range(cfg.components))
-    trials = []
     # the budget covers the components a chunk of trials draws
-    for chunk in column_chunks(cfg.trials, (cfg.components * cfg.dim) << cfg.resolution):
-        trials += _lemma_chunk(cfg, range(chunk.start, chunk.stop), rngs)
+    cells = (cfg.components * cfg.dim) << cfg.resolution
+    trials = _chunked_trials(cfg, _lemma_chunk, range(cfg.components), cells)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero:
         check = _bounded("square function contracts at p=2, d=1, mean zero", worst, 1.0)
@@ -803,11 +802,10 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # a family holds cfg.count intervals, one component g per interval
-    rngs = _trial_generators(cfg, (1, *range(10, 10 + cfg.count)))
+    streams = (1, *range(10, 10 + cfg.count))
     heights = 2 * cfg.lam_halfspan + 1
-    trials = []
-    for chunk in column_chunks(cfg.trials, (cfg.count * heights * cfg.dim) << cfg.resolution):
-        trials += _weak11_chunk(cfg, range(chunk.start, chunk.stop), rngs)
+    cells = (cfg.count * heights * cfg.dim) << cfg.resolution
+    trials = _chunked_trials(cfg, _weak11_chunk, streams, cells)
     worst_excess = _worst(rec["support_excess"] for rec in trials)
     check = _bounded("adjoint of bad part supported on stopping cells", worst_excess, 0.0)
     return _report(cfg, trials, [check], worst_support_excess=worst_excess)
@@ -855,10 +853,9 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
     if cfg.rad != "exact":
         raise ValueError("adjointness requires exact sign mode")
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
-    rngs = _trial_generators(cfg, (0, 1, *range(10, 10 + cfg.count)))
-    trials = []
-    for chunk in column_chunks(cfg.trials, (cfg.count * cfg.dim) << cfg.resolution):
-        trials += _adjointness_chunk(cfg, range(chunk.start, chunk.stop), rngs)
+    streams = (0, 1, *range(10, 10 + cfg.count))
+    cells = (cfg.count * cfg.dim) << cfg.resolution
+    trials = _chunked_trials(cfg, _adjointness_chunk, streams, cells)
     worst = _worst(rec["residual"] for rec in trials)
     return _report(cfg, trials, [_bounded("adjointness residual", worst, 0.0)], "residual")
 

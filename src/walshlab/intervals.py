@@ -55,16 +55,17 @@ class Decomposition:
         return tuple(i for i, _ in self.right)
 
     def left_union(self) -> set[int]:
-        out: set[int] = set()
-        for _, piece in self.left:
-            out |= piece.to_set()
-        return out
+        return _union(self.left)
 
     def right_union(self) -> set[int]:
-        out: set[int] = set()
-        for _, piece in self.right:
-            out |= piece.to_set()
-        return out
+        return _union(self.right)
+
+
+def _union(pieces: tuple[Piece, ...]) -> set[int]:
+    out: set[int] = set()
+    for _, piece in pieces:
+        out |= piece.to_set()
+    return out
 
 
 def _prefix_pieces(b: int, top: int) -> list[Piece]:

@@ -13,8 +13,9 @@ array of cell values.  On top of that this module provides
   projects f onto the contiguous segment {a_s} u (left pieces); the adjoint
   recombines a component family with the same blocks and modulations, and the
   two are exact adjoints for the sign-averaged coordinatewise pairing; both
-  run on the block-sum engine of `operators`, on one family or, with one
-  owner trial per column, on a (cells, T*S, ...) stack of T families;
+  run on the block-sum engine of `operators`, with one owner trial per
+  column of a (cells, T*S, ...) stack of T families, and one family is the
+  one-trial stack;
 * the Calderon-Zygmund splitting at a height lam: stop at the maximal dyadic
   cells whose average pointwise norm exceeds lam, replace the function by its
   mean on each stopping cell (good part h), and keep the remainder (bad part
@@ -64,7 +65,7 @@ def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     size = np.abs(coords)
     if q == np.inf:
         return size.max(axis=axis)
-    if q < 1:
+    if not q >= 1:  # refuses NaN too
         raise ValueError(f"lattice exponent must be >= 1, got {q}")
     with np.errstate(over="ignore"):  # overflowed cells are redone below
         size **= q  # in place: the same powers as `size ** q`, with no temporary
@@ -145,7 +146,7 @@ def lp_x_norm(f: LatticeFunction, p: float) -> float:
     norms = f.norm_values()
     if p == np.inf:
         return float(norms.max())
-    if p < 1:
+    if not p >= 1:  # refuses NaN too
         raise ValueError(f"exponent must be >= 1, got {p}")
     return float(root_means(norms[None], p, p)[0])
 
@@ -376,13 +377,11 @@ def _segments(decomps: Sequence[Decomposition]) -> tuple[list[int], list[tuple]]
 
 
 def _segment_columns(
-    values: np.ndarray, decomps: Sequence[Decomposition], owners=None
+    values: np.ndarray, decomps: Sequence[Decomposition], owners
 ) -> np.ndarray:
-    """Forward transform of a (cells, ...) stack: (cells, S, ...), column s for
-    decomps[s].  With `owners`, `values` is a (cells, T, ...) stack of T
-    trials and column s transforms trial owners[s]."""
-    trailing = values.shape[1:] if owners is None else values.shape[2:]
-    out = np.empty((values.shape[0], len(decomps), *trailing))
+    """Forward transform of a (cells, T, ...) stack of T trials: (cells, S,
+    ...), column s transforming trial owners[s] for decomps[s]."""
+    out = np.empty((values.shape[0], len(decomps), *values.shape[2:]))
     for sl, comps in _block_sum_chunks(values, *_segments(decomps), owners):
         out[:, sl] = comps
     return out
@@ -397,19 +396,19 @@ def segment_transform(
     anchor level 0 and the left-piece levels; multiplied back by w_{a_s} it
     is the spectral projection of f onto the segment {a_s} u (left pieces).
     """
-    comps = _segment_columns(f.values, decomps)
+    comps = _segment_columns(f.values[:, None], decomps, [0] * len(decomps))
     return [LatticeFunction(f.resolution, comps[:, s], f.q) for s in range(len(decomps))]
 
 
 def _adjoint_of_stack(
-    stacked: np.ndarray, decomps: Sequence[Decomposition], owners=None
+    stacked: np.ndarray, decomps: Sequence[Decomposition], owners
 ) -> np.ndarray:
-    """Adjoint transform of a (cells, S, ...) component stack; returns (cells, ...).
+    """Adjoint transform of a (cells, S, ...) component stack; returns the
+    (cells, T, ...) stack of the trials' own sums.
 
-    Trailing axes are transformed independently, so several families can be
-    recombined in one pass; the terms add up in component order.  With
-    `owners` (non-decreasing), column s belongs to trial owners[s] and the
-    result is the (cells, T, ...) stack of the trials' own sums.
+    Column s belongs to trial owners[s] (non-decreasing), and each trial's
+    terms add up in component order.  Trailing axes are transformed
+    independently, so several families can be recombined in one pass.
     """
     return _block_sums_adjoint(stacked, *_segments(decomps), owners)
 
@@ -429,7 +428,8 @@ def segment_transform_adjoint(
         )
     stacked = np.moveaxis(_stacked(components), 0, 1)  # (cells, S, d)
     first = components[0]
-    return LatticeFunction(first.resolution, _adjoint_of_stack(stacked, decomps), first.q)
+    acc = _adjoint_of_stack(stacked, decomps, [0] * len(decomps))
+    return LatticeFunction(first.resolution, acc[:, 0], first.q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ pieces, which is how the square function of arbitrary interval projections is
 reduced to martingale machinery.  One private engine computes these block
 sums for every caller: `_anchor_columns` builds the anchor functions (one
 parity evaluation of the bit-reversal table against a chunk's anchors) and
-kept index ranges, `_block_sum_chunks` runs the forward map on a (cells, ...)
-stack one budgeted chunk of anchors at a time, and `_block_sums_adjoint` is
-its adjoint.  Given `owners`, one trial per anchor column, the forward map
-modulates only that trial's column of a (cells, T, ...) stack and the
-adjoint adds each column of a (cells, C, ...) stack into that trial's
-accumulator, in component order.  The lattice segment transform pair is the
-same engine run with level 0 added to the left-piece levels.
+kept index ranges, `_block_sum_chunks` runs the forward map on a (cells, T,
+...) stack of T trials one budgeted chunk of anchors at a time, and
+`_block_sums_adjoint` is its adjoint.  Every anchor column has one owner
+trial: the forward map modulates only that trial's column, and the adjoint
+adds each column of a (cells, C, ...) stack into that trial's accumulator,
+in component order.  A single function is the one-trial stack f[:, None]
+with every owner 0.  The lattice segment transform pair is the same engine
+run with level 0 added to the left-piece levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -96,24 +97,19 @@ def _anchor_columns(anchors, levels, resolution: int, ndim: int):
     return w.reshape(w.shape + (1,) * (ndim - 2)), ranges
 
 
-def _block_sum_chunks(values: np.ndarray, anchors, levels, owners=None):
+def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
     """Yield (slice, (cells, s, ...) block sums) per budgeted chunk of anchors.
 
-    Column s sums the martingale differences of w_{a_s} * values over its
-    levels; trailing axes of the (cells, ...) stack ride along.  With
-    `owners`, `values` is a (cells, T, ...) stack of T trials and column s
-    modulates trial owners[s] alone.
+    `values` is a (cells, T, ...) stack of T trials, and column s sums the
+    martingale differences of w_{a_s} times trial owners[s] over its levels;
+    trailing axes ride along.  A single function is the one-trial stack
+    values[:, None] with every owner 0.
     """
     resolution = values.shape[0].bit_length() - 1
-    if owners is None:
-        ndim, column_cells = values.ndim + 1, values.size
-    else:
-        ndim, column_cells = values.ndim, values[:, 0].size
-    for sl in column_chunks(len(anchors), column_cells):
-        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, ndim)
-        picked = values[:, None] if owners is None else values[:, owners[sl]]
+    for sl in column_chunks(len(anchors), values[:, 0].size):
+        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, values.ndim)
         # scalar columns are modulated in the anchor columns themselves
-        modulated = np.multiply(w, picked, out=w if ndim == 2 else None)
+        modulated = np.multiply(w, values[:, owners[sl]], out=w if values.ndim == 2 else None)
         (sums,) = project_columns(modulated, [ranges])
         yield sl, sums
 
@@ -139,19 +135,15 @@ def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
     return out
 
 
-def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners=None) -> np.ndarray:
+def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndarray:
     """Adjoint of `_block_sum_chunks` on a (cells, C, ...) stack of C columns.
 
-    Returns the sum, in column order, of w_{a_c} times the block sums of
-    column c: one (cells, ...) sum, or with `owners` (non-decreasing, one
-    trial per column) the (cells, T, ...) stack whose trial t sums its own
-    columns in order.  Within a chunk the k-th columns of all trials are
-    added in one step, k = 0, 1, ...
+    Column c belongs to trial owners[c] (non-decreasing).  Returns the
+    (cells, T, ...) stack whose trial t sums, in column order, w_{a_c} times
+    the block sums of its own columns c.  Within a chunk the k-th columns of
+    all trials are added in one step, k = 0, 1, ...
     """
     resolution = stacked.shape[0].bit_length() - 1
-    single = owners is None
-    if single:
-        owners = np.zeros(len(anchors), dtype=int)
     owners = np.asarray(owners)
     trials = int(owners[-1]) + 1 if owners.size else 1
     acc = np.zeros((stacked.shape[0], trials, *stacked.shape[2:]))
@@ -164,7 +156,7 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners=None) -> np
         for rank in np.unique(ranks[sl]).tolist():
             cols = np.flatnonzero(ranks[sl] == rank)
             acc[:, owners[sl][cols]] += blocks[:, cols]
-    return acc[:, 0] if single else acc
+    return acc
 
 
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:
@@ -174,7 +166,7 @@ def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunctio
     the requested levels.  Multiplying the result by w_a again gives the
     spectral projection of f onto the union of the translated blocks.
     """
-    ((_, sums),) = _block_sum_chunks(f.values, [a], [levels])
+    ((_, sums),) = _block_sum_chunks(f.values[:, None], [a], [levels], [0])
     return DyadicFunction(f.resolution, sums[:, 0])
 
 
@@ -188,7 +180,7 @@ def block_sum_family(
     anchors = [dec.anchor for dec in decomps]
     levels = [dec.left_levels for dec in decomps]
     out = np.zeros((len(decomps), f.size))
-    for sl, sums in _block_sum_chunks(f.values, anchors, levels):
+    for sl, sums in _block_sum_chunks(f.values[:, None], anchors, levels, [0] * len(decomps)):
         out[sl] = sums.T
         del sums  # the last chunk must not stay alive while SeqFunction copies `out`
     return SeqFunction(f.resolution, out)

@@ -38,6 +38,8 @@ from walshlab.lattice import (
     lp_radx_norm,
     lp_x_norm,
     rad_norm_values,
+    segment_transform,
+    segment_transform_adjoint,
     split_at_cells,
     stopping_cells,
 )
@@ -649,6 +651,34 @@ def test_adjoint_families_match_per_trial(budget, resolution, family, count, dim
         family=family,
     )
     _same_report(cfg, reference_adjoint)
+
+
+# (resolution, dim, count) wherever a random family of `count` intervals fits
+SEGMENT_CASES = [
+    (resolution, dim, count)
+    for resolution in (0, 1, 3, 6, 9, 14)
+    for dim in (1, 3)
+    for count in (1, 3, 8)
+    if count <= ex._family_capacity(resolution, "random")
+]
+
+
+@pytest.mark.parametrize("resolution, dim, count", SEGMENT_CASES)
+def test_segment_fronts_match_per_interval_reference(budget, resolution, dim, count):
+    # the single-family fronts run the block-sum engine as a one-trial stack
+    budget(dim << resolution)
+    for seed in (22, 23, 24):
+        decs = family_decompose(ex.random_interval_family((seed, 0, 1), resolution, count))
+        f, *gs = [
+            random_lattice_function((seed, 0, s), resolution, dim, 2.0, "gaussian-cells")
+            for s in range(1 + count)
+        ]
+        forward = segment_transform(f, decs)
+        assert len(forward) == count
+        for got, want in zip(forward, _forward(f, decs)):
+            assert got.values.tobytes() == want.values.tobytes()
+        adjoint = segment_transform_adjoint(gs, decs).values
+        assert adjoint.tobytes() == _adjoint(gs, decs).values.tobytes()
 
 
 def test_large_grid_streams_one_column():

@@ -149,6 +149,19 @@ def test_rad_norm_exact_limit_and_mc():
         rad_of_points(pts[:2], 2, "bogus")
 
 
+def test_norms_refuse_nan_exponents():
+    with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
+        lattice_norm(np.array([[3.0, 4.0]]), np.nan)
+    f = random_lattice(3, 2, seed=6)
+    with pytest.raises(ValueError, match="exponent must be >= 1, got nan"):
+        lp_x_norm(f, np.nan)
+    nan_q = LatticeFunction(3, f.values, np.nan)
+    with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
+        lp_x_norm(nan_q, 2.0)
+    with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
+        lp_radx_norm([nan_q], 2.0)
+
+
 def test_lp_radx_norm_examples():
     f = random_lattice(5, 3, seed=5)
     assert lp_radx_norm([f], 4) == pytest.approx(lp_x_norm(f, 4), abs=1e-10)
