@@ -4,6 +4,14 @@ Walsh indices are plain nonnegative Python ints below 2**32; the dyadic
 (digitwise mod-2) sum of two indices, "translation", is plain xor.
 Everything in this module is exact integer combinatorics; it is the
 substrate shared by the transform, decomposition, and operator layers.
+
+`IntInterval(lo, hi)` is the one public constructor, and it validates its
+bounds.  `_interval(lo, hi)` is the one unchecked path: it builds the same
+slotted instance without any check, for callers that have already proved
+0 <= lo < hi <= 2**32.  It has three callers: `translate_block` (after
+`check_index(a)` and `delta_block(k)`), and in `intervals` each
+`_prefix_pieces` piece and the `interval` of `decompose` (after both ends
+are checked and a < b).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ def check_index(n: int, what: str = "index") -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntInterval:
     """Half-open integer interval [lo, hi) in Z+."""
 
@@ -45,6 +53,19 @@ class IntInterval:
 
     def overlaps(self, other: "IntInterval") -> bool:
         return self.lo < other.hi and other.lo < self.hi
+
+
+_new = object.__new__
+_set_lo = IntInterval.lo.__set__
+_set_hi = IntInterval.hi.__set__
+
+
+def _interval(lo: int, hi: int) -> IntInterval:
+    """[lo, hi) without validation; the caller has proved 0 <= lo < hi <= 2**32."""
+    iv = _new(IntInterval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
 
 
 _BLOCKS = (IntInterval(0, 1),) + tuple(
@@ -76,8 +97,9 @@ def translate_block(a: int, k: int) -> IntInterval:
     2**(k-1).  For k = 0 it is the singleton {a}.
     """
     check_index(a, "a")
-    if k == 0:
-        return IntInterval(a, a + 1)
     blk = delta_block(k)
-    base = (a ^ (1 << (k - 1))) & ~((1 << (k - 1)) - 1)
-    return IntInterval(base, base + blk.size)
+    if k == 0:
+        base = a
+    else:
+        base = (a ^ (1 << (k - 1))) & ~((1 << (k - 1)) - 1)
+    return _interval(base, base + blk.hi - blk.lo)

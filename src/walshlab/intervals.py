@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dyadic import IntInterval, check_index, delta_block, translate_block
+from .dyadic import IntInterval, _interval, check_index, delta_block, translate_block
 
 Piece = tuple[int, IntInterval]
 
@@ -79,7 +79,7 @@ def _prefix_pieces(b: int, top: int) -> list[Piece]:
     left_end = b >> top << top
     for k in range(top - 1, -1, -1):
         if (b >> k) & 1:
-            pieces.append((k + 1, IntInterval(left_end, left_end + (1 << k))))
+            pieces.append((k + 1, _interval(left_end, left_end + (1 << k))))
             left_end += 1 << k
     return pieces
 
@@ -97,7 +97,7 @@ def decompose(a: int, b: int) -> Decomposition:
         for kappa in range(k_m)
         if not (a >> kappa) & 1
     )
-    return Decomposition(anchor=a, left=left, right=right, interval=IntInterval(a, b))
+    return Decomposition(anchor=a, left=left, right=right, interval=_interval(a, b))
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,10 @@ def verify_decomposition(dec: Decomposition, a: int, b: int) -> DecompositionChe
                 )
                 if witness is None:
                     witness = w
-            if piece.size != blk.size:
+            size = piece.hi - piece.lo
+            if size != blk.hi - blk.lo:
                 failures.append(
-                    f"{side} piece level {level}: size {piece.size} != block size"
+                    f"{side} piece level {level}: size {size} != block size"
                 )
 
     return DecompositionCheck(not failures, tuple(failures), witness)

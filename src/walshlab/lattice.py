@@ -232,6 +232,8 @@ def _stacked(components: Sequence[LatticeFunction]) -> np.ndarray:
     if not components:
         raise ValueError("need at least one component")
     first = components[0]
+    if not first.q >= 1:  # before the comparison below: nan != nan
+        raise ValueError(f"lattice exponent must be >= 1, got {first.q}")
     for g in components[1:]:
         first._check_compatible(g)
         if g.q != first.q:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,3 +79,25 @@ def test_interval_validation():
     assert iv.to_set() == {2, 3, 4}
     assert iv.overlaps(IntInterval(4, 9))
     assert not iv.overlaps(IntInterval(5, 9))
+
+
+def test_interval_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^empty interval \[3, 3\)$"):
+        IntInterval(3, 3)
+    with pytest.raises(ValueError, match="^lo must be nonnegative, got -1$"):
+        IntInterval(-1, 4)
+    with pytest.raises(ValueError, match=f"^hi {MAX_INDEX + 1} exceeds the 32-bit limit$"):
+        IntInterval(0, MAX_INDEX + 1)
+    assert IntInterval(0, MAX_INDEX).size == MAX_INDEX
+
+
+def test_slotted_interval_keeps_value_semantics():
+    iv = IntInterval(2, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.lo = 3
+    assert not hasattr(iv, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv), copy.copy(iv)):
+        assert type(twin) is IntInterval
+        assert twin == iv and hash(twin) == hash(iv)
+    assert iv != (2, 5)
+    assert {iv, IntInterval(2, 5)} == {iv}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshlab.dyadic import IntInterval, delta_block, translate_block
+from walshlab.dyadic import MAX_INDEX, IntInterval, delta_block, translate_block
 from walshlab.intervals import (
     Decomposition,
     decompose,
@@ -329,3 +329,41 @@ def test_delta_block_cache_matches_definition():
     for k in (-1, 32):
         with pytest.raises(ValueError):
             delta_block(k)
+
+
+def assert_validated(iv):
+    """`iv`, built without checks, is what the public constructor builds."""
+    ref = IntInterval(iv.lo, iv.hi)  # raises for bounds it would refuse
+    assert type(iv) is IntInterval
+    assert iv == ref and hash(iv) == hash(ref)
+
+
+def test_trusted_intervals_pass_the_public_constructor():
+    for b in range(1, (1 << 8) + 1):
+        for a in range(b):
+            dec = decompose(a, b)
+            assert_validated(dec.interval)
+            for _, piece in dec.left + dec.right:
+                assert_validated(piece)
+    for a in [*range(300), (1 << 31) - 1, 1 << 31, MAX_INDEX - 2, MAX_INDEX - 1]:
+        for k in range(32):
+            assert_validated(translate_block(a, k))
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (decompose, (-1, 4), "^a must be nonnegative, got -1$"),
+        (decompose, (MAX_INDEX, MAX_INDEX + 1), f"^a {MAX_INDEX} exceeds the 32-bit limit$"),
+        (decompose, (0, MAX_INDEX), f"^b {MAX_INDEX} exceeds the 32-bit limit$"),
+        (decompose, (3, -1), "^b must be nonnegative, got -1$"),
+        (decompose, (5, 5), r"^empty interval \[5, 5\)$"),
+        (translate_block, (-1, 2), "^a must be nonnegative, got -1$"),
+        (translate_block, (MAX_INDEX, 2), f"^a {MAX_INDEX} exceeds the 32-bit limit$"),
+        (translate_block, (3, -1), "^block level must be nonnegative, got -1$"),
+        (translate_block, (3, 32), "^block level 32 exceeds the 32-bit limit$"),
+    ],
+)
+def test_trusted_paths_still_refuse_bad_bounds(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)

@@ -162,6 +162,16 @@ def test_norms_refuse_nan_exponents():
         lp_radx_norm([nan_q], 2.0)
 
 
+def test_families_refuse_nan_exponents():
+    # nan != nan, so the exponent is refused before the components are compared
+    g = LatticeFunction(3, random_lattice(3, 2, seed=7).values, np.nan)
+    decs = family_decompose([IntInterval(1, 3), IntInterval(4, 8)])
+    with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
+        lp_radx_norm([g, g], 2.0)
+    with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
+        segment_transform_adjoint([g, g], decs)
+
+
 def test_lp_radx_norm_examples():
     f = random_lattice(5, 3, seed=5)
     assert lp_radx_norm([f], 4) == pytest.approx(lp_x_norm(f, 4), abs=1e-10)
