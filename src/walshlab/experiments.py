@@ -18,9 +18,11 @@ asserted to a specific value.
 Every campaign runner works on budgeted chunks of trials (`column_chunks`):
 each trial still draws from its own generators, and the chunk's functions
 are stacked along trailing axes (axis 0 = cells) and transformed, reduced
-and normed together.  `pointwise` stacks the block sums of a chunk as
-(S, cells, T) and `lemma` its draws as (S, cells, d, T) for the stack
-kernels of `operators`.  `adjoint` stacks f as (cells, T, d) and the
+and normed together.  A config whose trial would hold more than
+`_MAX_TRIAL_FLOATS` floats is refused before any draw.  `pointwise` stacks
+the block sums of a chunk as (cells, S, T) for the stack kernels of
+`operators`; `lemma` draws into an (S, cells, d, T) stack and hands the
+kernels cells-first views of it.  `adjoint` stacks f as (cells, T, d) and the
 components as (cells, T*S, d) for the owner-aware segment transform pair.
 `weak11` stacks its components as (cells, T, S, d) and their bad parts at
 every height as (cells, T, S, H, d); its Rademacher leaf norms stay per
@@ -95,6 +97,9 @@ from .walsh import (
 ASSERT_TOL = 1e-10
 # Largest grid a campaign accepts: 2**20 cells, 8 MiB per float array.
 MAX_RESOLUTION = 20
+# Most floats one trial may hold: 2**27, a 1 GiB float64 stack, or 128 grids
+# at the largest resolution.  Sizes above it are refused before any draw.
+_MAX_TRIAL_FLOATS = 1 << 27
 FAMILIES = ("random", "dyadic", "misaligned", "singletons")
 _MAX_EXP = np.finfo(float).maxexp  # 2.0**e overflows from here on
 
@@ -102,6 +107,15 @@ _MAX_EXP = np.finfo(float).maxexp  # 2.0**e overflows from here on
 def _check_resolution(resolution: int) -> None:
     if not 0 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be in [0, {MAX_RESOLUTION}], got {resolution}")
+
+
+def _check_trial_floats(floats: int, **sizes) -> None:
+    """Refuse `floats` floats a trial above `_MAX_TRIAL_FLOATS`, naming `sizes`."""
+    if floats > _MAX_TRIAL_FLOATS:
+        named = ", ".join(f"{name} {value}" for name, value in sizes.items())
+        raise ValueError(
+            f"{named} need {floats} floats a trial, above the limit of {_MAX_TRIAL_FLOATS}"
+        )
 
 
 def _check_min(least: int, **values) -> None:
@@ -280,7 +294,10 @@ def _chunked_trials(cfg: ExperimentConfig, chunk, streams, cells: int, start: in
 
     `rngs` yields the `_generators` of the keys (cfg.seed, t, s): trial t
     from `start` on, and within a trial each stream s in the given order.
+    A config whose `cells` exceed `_MAX_TRIAL_FLOATS` is refused first.
     """
+    sizes = {name: getattr(cfg, name) for name in ("resolution", "count", "dim", "components")}
+    _check_trial_floats(cells, **sizes)
     rngs = _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
     trials = []
     for sl in column_chunks(cfg.trials, cells):
@@ -310,24 +327,29 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown function policy {policy!r}")
 
 
+def _draw_cells(rng: np.random.Generator, shape: tuple, policy: str) -> np.ndarray:
+    """Cell values of shape (cells,) or (cells, d), coordinatewise by policy."""
+    if policy == "gaussian-cells":
+        return rng.standard_normal(shape)
+    if policy == "rademacher-cells":
+        return rng.choice([-1.0, 1.0], size=shape)
+    if policy.startswith("sparse-spectrum:"):
+        k = _sparse_arg(policy)
+        n = shape[0]
+        coeffs = np.zeros(shape)
+        for column in coeffs.reshape(n, -1).T:  # views: the draws land in coeffs
+            idx = rng.choice(n, size=min(k, n), replace=False)
+            column[idx] = rng.choice([-1.0, 1.0], size=idx.size)
+        return synthesize_values(coeffs)
+    raise ValueError(f"unknown function policy {policy!r}")
+
+
 def random_function(seed, resolution: int, policy: str) -> DyadicFunction:
     """Seeded random grid function; deterministic in (seed, policy).
 
     `seed` is a seed or key for `rng_for`, or a Generator to draw from.
     """
-    rng = _rng(seed)
-    n = 1 << resolution
-    if policy == "gaussian-cells":
-        return DyadicFunction(resolution, rng.standard_normal(n))
-    if policy == "rademacher-cells":
-        return DyadicFunction(resolution, rng.choice([-1.0, 1.0], size=n))
-    if policy.startswith("sparse-spectrum:"):
-        k = _sparse_arg(policy)
-        coeffs = np.zeros(n)
-        idx = rng.choice(n, size=min(k, n), replace=False)
-        coeffs[idx] = rng.choice([-1.0, 1.0], size=idx.size)
-        return DyadicFunction(resolution, synthesize_values(coeffs))
-    raise ValueError(f"unknown function policy {policy!r}")
+    return DyadicFunction(resolution, _draw_cells(_rng(seed), (1 << resolution,), policy))
 
 
 def random_lattice_function(
@@ -335,20 +357,7 @@ def random_lattice_function(
 ) -> LatticeFunction:
     """Seeded lattice-valued grid function, coordinatewise by policy; `seed`
     as in `random_function`."""
-    rng = _rng(seed)
-    n = 1 << resolution
-    if policy == "gaussian-cells":
-        return LatticeFunction(resolution, rng.standard_normal((n, dim)), q)
-    if policy == "rademacher-cells":
-        return LatticeFunction(resolution, rng.choice([-1.0, 1.0], size=(n, dim)), q)
-    if policy.startswith("sparse-spectrum:"):
-        k = _sparse_arg(policy)
-        coeffs = np.zeros((n, dim))
-        for c in range(dim):
-            idx = rng.choice(n, size=min(k, n), replace=False)
-            coeffs[idx, c] = rng.choice([-1.0, 1.0], size=idx.size)
-        return LatticeFunction(resolution, synthesize_values(coeffs), q)
-    raise ValueError(f"unknown function policy {policy!r}")
+    return LatticeFunction(resolution, _draw_cells(_rng(seed), (1 << resolution, dim), policy), q)
 
 
 @lru_cache(maxsize=None)
@@ -594,7 +603,7 @@ def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
 
     Each trial is drawn from the next two generators of `rngs` (its streams
     0 and 1) into one column of a (cells, T) stack.  The block sums of every
-    trial form one (S, cells, T) stack, and the sharp and rms maximal
+    trial form one (cells, S, T) stack, and the sharp and rms maximal
     functions run on the whole chunk.
     """
     values = np.empty((1 << cfg.resolution, len(ts)))
@@ -618,7 +627,7 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     """Sharp function of the block transform against the rms maximal function.
 
     The bound holds pointwise with constant exactly one; every trial asserts
-    it cellwise.  Trials run in chunks whose (S, cells, T) block-sum stack
+    it cellwise.  Trials run in chunks whose (cells, S, T) block-sum stack
     fits the column budget (`_pointwise_chunk`).
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
@@ -683,8 +692,10 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
 
 
 def _lp_x_rows(values: np.ndarray, cfg: ExperimentConfig) -> list[float]:
-    """L^p norm of the pointwise l^q norm of every trial in a (cells, d, T) stack."""
-    rows = np.ascontiguousarray(values.transpose(2, 0, 1))  # (T, cells, d)
+    """L^p norm of the pointwise l^q norm of every trial in a stack that
+    reshapes to (cells, d, T)."""
+    cells = values.reshape(1 << cfg.resolution, cfg.dim, -1)
+    rows = np.ascontiguousarray(cells.transpose(2, 0, 1))  # (T, cells, d)
     return root_means(lattice_norm(rows, cfg.q), cfg.p, cfg.p).tolist()
 
 
@@ -693,9 +704,9 @@ def _lemma_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
 
     Trial t draws its components from the next cfg.components generators of
     `rngs` into an (S, cells, d, T) stack; the square function then runs on
-    the whole chunk at once.  Cell means are removed per drawn component:
-    at d = 1 numpy sums a lone component's cells pairwise, which a mean over
-    the stack would not.
+    a cells-first view of the whole chunk at once.  Cell means are removed
+    per drawn component: at d = 1 numpy sums a lone component's cells
+    pairwise, which a mean over the stack would not.
     """
     n, S = 1 << cfg.resolution, cfg.components
     stack = np.empty((S, n, cfg.dim, len(ts)))
@@ -707,8 +718,9 @@ def _lemma_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
             if cfg.mean_zero:
                 values = values - values.mean(axis=0)
             stack[s, :, :, k] = values
-    sq = square_function_stack(stack.reshape(S, n, -1)).reshape(n, cfg.dim, -1)
-    norm = np.sqrt(_square_sum(stack.reshape(S, n * cfg.dim, -1))).reshape(n, cfg.dim, -1)
+    # the kernels read cells-first views; the norm takes the n*d entries as cells
+    sq = square_function_stack(stack.reshape(S, n, -1).swapaxes(0, 1))
+    norm = np.sqrt(_square_sum(stack.reshape(S, n * cfg.dim, -1).swapaxes(0, 1)))
     return [
         {"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
         for t, lhs, rhs in zip(ts, _lp_x_rows(sq, cfg), _lp_x_rows(norm, cfg))
@@ -1051,6 +1063,7 @@ def czd_report(
     """Splitting of a seeded random lattice function at an absolute height."""
     _check_resolution(resolution)
     _check_min(1, dim=dim)
+    _check_trial_floats(dim << resolution, resolution=resolution, dim=dim)
     _check_min(0, seed=seed)
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"threshold lambda must be finite and positive, got {lam}")

@@ -25,15 +25,15 @@ the dyadic cells of levels 0..N only, which loses nothing because the
 functions are cell-constant at level N.  Tree sweeps run bottom-up with
 pairwise sums, so a sharp/maximal evaluation costs O(2**N * (N + S)).
 
-Each functional is one kernel on a stack, and the SeqFunction /
+Each functional is one kernel on a cells-first stack, and the SeqFunction /
 DyadicFunction functions call it on one trial.  `sharp_maximal_stack` and
-`square_function_stack` take an (S, cells, ...) stack,
-`maximal_function_stack` and `rms_maximal_stack` a (cells, ...) stack; S
-stays on axis 0, and trailing axes carry trials and lattice coordinates,
-each trailing column bitwise as if computed alone.  `block_sum_stack` runs
-the block-sum engine paired one column to one trial: it turns a (cells, T)
-stack and one decomposition family per trial into the (S, cells, T) stack
-the sharp kernel reads.
+`square_function_stack` take a (cells, S, ...) stack, so a SeqFunction,
+stored (S, cells), is passed transposed; `maximal_function_stack` and
+`rms_maximal_stack` take a (cells, ...) stack.  Trailing axes carry trials
+and lattice coordinates, each trailing column bitwise as if computed alone,
+in any memory layout.  `block_sum_stack` runs the block-sum engine paired
+one column to one trial: it turns a (cells, T) stack and one decomposition
+family per trial into the (cells, S, T) stack the sharp kernel reads.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
 
 
 def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
-    """(S, cells, T) block sums of a (cells, T) stack of scalar functions.
+    """(cells, S, T) block sums of a (cells, T) stack of scalar functions.
 
     Component s of trial t is the block sum of column t for the s-th
     decomposition in families[t], with its anchor and left-piece levels; a
@@ -129,9 +129,10 @@ def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
             owners.append(t)
             slots.append(s)
     owners, slots = np.array(owners, dtype=int), np.array(slots, dtype=int)
-    out = np.zeros((max(map(len, families), default=0), *values.shape))
+    # components outermost in memory, so the sharp kernel reads each one whole
+    out = np.zeros((max(map(len, families), default=0), *values.shape)).transpose(1, 0, 2)
     for sl, sums in _block_sum_chunks(values, anchors, levels, owners):
-        out[slots[sl], :, owners[sl]] = sums.T
+        out[:, slots[sl], owners[sl]] = sums
     return out
 
 
@@ -187,46 +188,43 @@ def block_sum_family(
 
 
 def _square_sum(stack: np.ndarray, count: int = 1) -> np.ndarray:
-    """Sum over s of (stack[s] / count) ** 2 for an (S, cells, ...) stack.
+    """Sum over s of (stack[:, s] / count) ** 2 for a (cells, S, ...) stack.
 
-    The bits are those numpy gives one trial's own (S, cells) array.  Over two
-    or more cells numpy adds the components in order s = 0, 1, ..., and so
-    does this fold, one component at a time into one accumulator, which
-    keeps a single component's terms alive.  Over a single cell numpy sums
-    the components pairwise along a contiguous axis, which is redone here
-    for every trailing column.
+    The bits are those numpy gives one trial's own (S, cells) array summed
+    over axis 0.  Over two or more cells numpy adds the components in order
+    s = 0, 1, ..., and so does this fold, one component at a time into one
+    accumulator, which keeps a single component's terms alive.  Over a
+    single cell numpy sums the components pairwise along a contiguous axis,
+    which is redone here for every trailing column.
     """
-    if stack.shape[1] == 1:
-        terms = np.divide(stack.T, count, order="C")  # S last and contiguous
-        return np.square(terms, out=terms).sum(axis=-1).T
-    acc = np.divide(stack[0], count)
+    if stack.shape[0] == 1:
+        terms = np.divide(np.moveaxis(stack, 1, -1), count, order="C")  # S last
+        return np.square(terms, out=terms).sum(axis=-1)
+    acc = np.divide(stack[:, 0], count)
     np.square(acc, out=acc)
     term = np.empty_like(acc)
-    for comp in stack[1:]:
-        np.divide(comp, count, out=term)
+    for s in range(1, stack.shape[1]):
+        np.divide(stack[:, s], count, out=term)
         acc += np.square(term, out=term)
     return acc
 
 
 def sharp_maximal_stack(stack: np.ndarray) -> np.ndarray:
-    """Dyadic sharp function of an (S, cells, ...) stack; returns (cells, ...).
+    """Dyadic sharp function of a (cells, S, ...) stack; returns (cells, ...).
 
     At each point, the sup over the dyadic cells containing it of the rms
     oscillation about the cell mean, by the per-cell variance identity (mean
     of the squared norm minus the squared norm of the mean), one level of
     pairwise cell sums at a time.
     """
-    n = stack.shape[1]
-    best = np.zeros(stack.shape[1:])
-    # the component pyramid runs on a (cells, S, ...) view, so every level
-    # keeps S outermost in memory
-    levels = zip(cell_sums(_square_sum(stack)), cell_sums(stack.swapaxes(0, 1)))
-    for sq, comp in levels:
+    n = stack.shape[0]
+    best = np.zeros(stack.shape[:1] + stack.shape[2:])
+    for sq, comp in zip(cell_sums(_square_sum(stack)), cell_sums(stack)):
         cells = sq.shape[0]
         count = n // cells
         osc2 = sq / count
         # a leaf cell's squared mean is its mean square, summed alike: reuse it
-        osc2 -= sq if count == 1 else _square_sum(comp.swapaxes(0, 1), count)
+        osc2 -= sq if count == 1 else _square_sum(comp, count)
         np.maximum(osc2, 0.0, out=osc2)
         view = best.reshape(cells, count, *best.shape[1:])
         np.maximum(view, osc2[:, None], out=view)
@@ -251,24 +249,25 @@ def rms_maximal_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def square_function_stack(stack: np.ndarray) -> np.ndarray:
-    """Martingale square function over levels 1..N of an (S, cells, ...) stack,
+    """Martingale square function over levels 1..N of a (cells, S, ...) stack,
     summed across components; returns (cells, ...).  The level-0 term (the
     mean) is excluded.
 
     The per-level sums over components are kept (2**k cells each) and added
     into the result in level order k = 1, 2, ..., N.
     """
-    n = stack.shape[1]
+    n = stack.shape[0]
     terms = []  # levels N .. 1
     fine = None
-    for sums in cell_sums(stack.swapaxes(0, 1)):  # (2**k, S, ...), k = N .. 0
-        means = sums.swapaxes(0, 1) / (n // sums.shape[0])
+    for sums in cell_sums(stack):  # (2**k, S, ...), k = N .. 0
+        means = sums / (n // sums.shape[0])
         if fine is not None:
-            coarse = means.shape[1]
-            diff = fine.reshape(fine.shape[0], coarse, 2, *fine.shape[2:]) - means[:, :, None]
-            terms.append(_square_sum(diff.reshape(fine.shape)))
+            # each cell of the finer level less the mean of its parent cell
+            fine[0::2] -= means
+            fine[1::2] -= means
+            terms.append(_square_sum(fine))
         fine = means
-    acc = np.zeros(stack.shape[1:])
+    acc = np.zeros(stack.shape[:1] + stack.shape[2:])
     for term in reversed(terms):
         cells = term.shape[0]
         view = acc.reshape(cells, n // cells, *acc.shape[1:])
@@ -278,7 +277,7 @@ def square_function_stack(stack: np.ndarray) -> np.ndarray:
 
 def sharp_maximal(g: SeqFunction) -> DyadicFunction:
     """Dyadic sharp function: sup over cells of the rms oscillation about the cell mean."""
-    return DyadicFunction(g.resolution, sharp_maximal_stack(g.values))
+    return DyadicFunction(g.resolution, sharp_maximal_stack(g.values.T))
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -299,4 +298,4 @@ def square_function(g: SeqFunction) -> DyadicFunction:
 
     The level-0 term (the mean) is deliberately excluded.
     """
-    return DyadicFunction(g.resolution, square_function_stack(g.values))
+    return DyadicFunction(g.resolution, square_function_stack(g.values.T))

@@ -14,13 +14,12 @@ Conventions baked in here:
   integrals (f, w_n) and Parseval reads  sum_n coeff[n]**2 == integral of f**2.
 * ``synthesize_values`` carries no factor; it is the plain expansion sum
   sum_n coeff[n] * w_n, so it inverts ``analyze_values``.
-* The fast transform, O(N * 2**N), gathers the input in bit-reversed
-  index order (the one copy a transform makes) and runs an in-place radix-4
-  butterfly on it, two radix-2 stages fused per pass, an odd N ending with
-  one radix-2 stage.  ``analyze_values`` runs the stages in ascending order
-  (h = 1 .. 2**(N-1)), ``synthesize_values`` in descending order
-  (h = 2**(N-1) .. 1), which equals the natural-order transform followed by
-  the permutation; ``fwht`` is the natural-order transform on a copy.
+* The fast transform, O(N * 2**N), is one in-place radix-4 butterfly, two
+  radix-2 stages fused per pass, run in ascending order (h = 1 .. 2**(N-1))
+  and ending with one radix-2 stage for an odd N.  ``fwht`` runs it on a
+  copy in natural order.  ``analyze_values`` gathers the input in
+  bit-reversed index order and runs it on that copy; ``synthesize_values``
+  runs ``fwht`` and then gathers its output in bit-reversed order.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing
@@ -141,34 +140,23 @@ def _check_length(n: int) -> None:
         raise ValueError(f"length must be a power of two, got {n}")
 
 
-def _butterfly(a: np.ndarray, descending: bool = False) -> np.ndarray:
+def _butterfly(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard butterfly along axis 0 of a C-contiguous float array, in place.
 
     Radix-2 stage h maps each pair (lo, hi) = (a[j], a[j + h]) to
     (lo + hi, lo - hi).  Stages h and 2h are fused: the quarters x0..x3 of
     each block of 4h cells go through y = (x0+x1, x0-x1, x2+x3, x2-x3) into
     a scratch buffer and come back as (y0+y2, y1+y3, y0-y2, y1-y3), the same
-    sums in the same order as the two radix-2 stages.  An odd N ends with one
-    radix-2 stage.  Stages run h = 1, 2, .. n/2, or n/2 .. 1 if `descending`,
-    where stage 2h comes first and x1, x2 trade places.  Stage h on c[rev]
-    is stage n/(2h) on c, so the descending run on c[rev] is bitwise
-    fwht(c)[rev].
+    sums in the same order as the two radix-2 stages.  Stages run
+    h = 1, 2, .. n/2; an odd N ends with one radix-2 stage at h = n/2.
     """
     n = a.shape[0]
     trailing = a.shape[1:]
     scratch = np.empty(a.size)
     stages = n.bit_length() - 1
-    if descending:
-        fused = [n >> 2 * k + 2 for k in range(stages // 2)]
-        tail = 1
-    else:
-        fused = [1 << 2 * k for k in range(stages // 2)]
-        tail = n >> 1
-    for h in fused:
+    for h in (1 << 2 * k for k in range(stages // 2)):
         x = a.reshape(n // (4 * h), 4, h, *trailing)
         x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-        if descending:
-            x1, x2 = x2, x1
         y0, y1, y2, y3 = scratch.reshape(4, *x0.shape)
         np.add(x0, x1, out=y0)
         np.subtract(x0, x1, out=y1)
@@ -179,8 +167,7 @@ def _butterfly(a: np.ndarray, descending: bool = False) -> np.ndarray:
         np.subtract(y0, y2, out=x2)
         np.subtract(y1, y3, out=x3)
     if stages % 2:
-        x = a.reshape(n // (2 * tail), 2, tail, *trailing)
-        lo, hi = x[:, 0], x[:, 1]
+        lo, hi = a.reshape(2, n // 2, *trailing)
         top = scratch[: lo.size].reshape(lo.shape)
         np.copyto(top, lo)
         lo += hi
@@ -232,24 +219,20 @@ def walsh_eval(n: int, resolution: int) -> DyadicFunction:
     return DyadicFunction(resolution, _walsh_columns([n], resolution)[:, 0])
 
 
-def _reversed_copy(values: np.ndarray) -> np.ndarray:
-    """C-contiguous float copy of `values` in bit-reversed order along axis 0."""
+def analyze_values(values: np.ndarray) -> np.ndarray:
+    """Paley-ordered Walsh coefficients (f, w_n) of raw cell values (axis 0)."""
     n = values.shape[0]
     _check_length(n)
     rev = bit_reversal(n.bit_length() - 1)
-    return np.ascontiguousarray(np.asarray(values, dtype=float)[rev])
-
-
-def analyze_values(values: np.ndarray) -> np.ndarray:
-    """Paley-ordered Walsh coefficients (f, w_n) of raw cell values (axis 0)."""
-    a = _butterfly(_reversed_copy(values))
-    a /= a.shape[0]
+    a = _butterfly(np.ascontiguousarray(np.asarray(values, dtype=float)[rev]))
+    a /= n
     return a
 
 
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
     """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
-    return _butterfly(_reversed_copy(coeffs), descending=True)
+    a = fwht(coeffs)
+    return a[bit_reversal(a.shape[0].bit_length() - 1)]
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:

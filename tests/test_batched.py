@@ -472,11 +472,11 @@ def test_trial_block_sums_of_families_of_any_length(budget):
         intervals = ex.random_interval_family((19, t, 1), resolution, count)
         families.append(family_decompose(intervals))
     stack = block_sum_stack(np.stack(rows, axis=1), families)
-    assert stack.shape == (5, 1 << resolution, trials)
+    assert stack.shape == (1 << resolution, 5, trials)
     for t, (row, decs) in enumerate(zip(rows, families)):
         alone = block_sum_family(DyadicFunction(resolution, row), decs).values
-        assert stack[: len(decs), :, t].tobytes() == alone.tobytes()
-        assert not stack[len(decs) :, :, t].any()
+        assert stack[:, : len(decs), t].T.tobytes() == alone.tobytes()
+        assert not stack[:, len(decs) :, t].any()
 
 
 # (dim, p, q): the asserted d = 1 contraction, then two lattice cases

@@ -259,17 +259,21 @@ def test_scalar_maximal_functions_match_reference(components, resolution):
 def test_stack_kernels_match_each_trial(components, resolution, trials):
     # trials ride along a trailing axis; each column must come out as its
     # trial alone, also over one cell, where numpy sums the components of a
-    # lone trial pairwise
-    stack = np.stack([_stack(components, resolution, seed) for seed in range(trials)], -1)
-    sharp, square = sharp_maximal_stack(stack), square_function_stack(stack)
-    maximal, rms = maximal_function_stack(stack[0]), rms_maximal_stack(stack[0])
-    for t in range(trials):
-        g = SeqFunction(resolution, stack[..., t])
-        f = DyadicFunction(resolution, stack[0, :, t])
-        np.testing.assert_array_equal(sharp[:, t], sharp_maximal(g).values)
-        np.testing.assert_array_equal(square[:, t], square_function(g).values)
-        np.testing.assert_array_equal(maximal[:, t], maximal_function(f).values)
-        np.testing.assert_array_equal(rms[:, t], rms_maximal(f).values)
+    # lone trial pairwise, and whether the (cells, S, T) stack is contiguous
+    # or a swapped view of an (S, cells, T) one
+    rows = [_stack(components, resolution, seed) for seed in range(trials)]
+    contiguous = np.stack([row.T for row in rows], -1)
+    swapped = np.stack(rows, -1).swapaxes(0, 1)
+    for stack in (contiguous, swapped):
+        sharp, square = sharp_maximal_stack(stack), square_function_stack(stack)
+        maximal, rms = maximal_function_stack(stack[:, 0]), rms_maximal_stack(stack[:, 0])
+        for t in range(trials):
+            g = SeqFunction(resolution, stack[:, :, t].T)
+            f = DyadicFunction(resolution, stack[:, 0, t])
+            np.testing.assert_array_equal(sharp[:, t], sharp_maximal(g).values)
+            np.testing.assert_array_equal(square[:, t], square_function(g).values)
+            np.testing.assert_array_equal(maximal[:, t], maximal_function(f).values)
+            np.testing.assert_array_equal(rms[:, t], rms_maximal(f).values)
 
 
 @pytest.mark.parametrize("resolution", RESOLUTIONS)

@@ -203,6 +203,12 @@ def test_unknown_command_rejected():
         ("scalar", "--out", str(Path(__file__) / "r.jsonl"), "--trials", "2"),
         ("czd", "--out", str(Path(__file__) / "r.json"), "--lambda", "1"),
         ("decompose", "--out", str(Path(__file__) / "r.json"), "--a", "1", "--b", "6"),
+        # sizes over the per-trial float limit are refused before any draw
+        ("czd", "--dim", str(10**12), "--lambda", "1", "--resolution", "4"),
+        ("vector", "--dim", str(10**12), "--resolution", "4", "--trials", "1", "--count", "1"),
+        ("lemma", "--components", str(10**12), "--resolution", "4", "--trials", "1"),
+        ("pointwise", "--count", "65536", "--resolution", "16", "--family", "singletons",
+         "--trials", "1"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):

@@ -14,6 +14,8 @@ from walshlab.experiments import (
     MAX_RESOLUTION,
     RUNNERS,
     ExperimentConfig,
+    _MAX_TRIAL_FLOATS,
+    _check_trial_floats,
     _family,
     _scalar_probes,
     random_function,
@@ -78,6 +80,15 @@ def test_random_lattice_function_shapes():
     sparse = random_lattice_function(3, 5, 2, 2.0, "sparse-spectrum:2")
     coeffs = analyze_values(sparse.values)
     assert (np.abs(coeffs) > 1e-12).sum() <= 4
+
+
+@pytest.mark.parametrize("resolution", [0, 3, 8])
+@pytest.mark.parametrize("policy", ["gaussian-cells", "rademacher-cells", "sparse-spectrum:3"])
+def test_scalar_draws_are_one_coordinate_lattice_draws(policy, resolution):
+    key = (5, resolution, 1)
+    scalar = random_function(key, resolution, policy).values
+    lattice = random_lattice_function(key, resolution, 1, 2.0, policy).values
+    assert scalar.tobytes() == lattice[:, 0].tobytes()
 
 
 def test_random_interval_family_policies():
@@ -524,6 +535,18 @@ def test_weak11_halfspan_stays_within_float_range():
 def test_config_admits_the_largest_benchmarked_grid():
     assert MAX_RESOLUTION >= 18
     ExperimentConfig(kind="scalar", resolution=18, q=float("inf"))
+
+
+def test_trial_float_cap_accepts_up_to_its_limit():
+    # the check is called alone: an accepted size would allocate if a
+    # campaign ran it, and a refused one must not get that far.  4 << 18 is
+    # the benchmark's N = 18 pointwise trial, the largest any suite runs.
+    assert _MAX_TRIAL_FLOATS == 128 << MAX_RESOLUTION
+    for floats in (4 << 18, _MAX_TRIAL_FLOATS - 1, _MAX_TRIAL_FLOATS):
+        _check_trial_floats(floats, resolution=MAX_RESOLUTION, count=128)
+    refusal = r"^resolution 20, count 129 need 135266304 floats a trial, above the limit"
+    with pytest.raises(ValueError, match=refusal):
+        _check_trial_floats(129 << MAX_RESOLUTION, resolution=MAX_RESOLUTION, count=129)
 
 
 def _poison(generator, seed, trial):
