@@ -19,7 +19,7 @@ Every campaign runner works on budgeted chunks of trials (`column_chunks`):
 each trial still draws from its own generators, and the chunk's functions
 are stacked along trailing axes (axis 0 = cells) and transformed, reduced
 and normed together.  A config whose trial would hold more than
-`_MAX_TRIAL_FLOATS` floats is refused before any draw.  `pointwise` stacks
+`_MAX_TRIAL_FLOATS` floats at a time is refused before any draw.  `pointwise` stacks
 the block sums of a chunk as (cells, S, T) for the stack kernels of
 `operators`; `lemma` draws into an (S, cells, d, T) stack and hands the
 kernels cells-first views of it.  `adjoint` stacks f as (cells, T, d) and the
@@ -288,16 +288,19 @@ def _generators(keys):
             yield rng
 
 
-def _chunked_trials(cfg: ExperimentConfig, chunk, streams, cells: int, start: int = 0):
+def _chunked_trials(
+    cfg: ExperimentConfig, chunk, streams, cells: int, start: int = 0, live: int | None = None
+):
     """Trial records of `chunk(cfg, ts, rngs)` over the budgeted chunks ts of
     the trials, `cells` floats a trial (`column_chunks`).
 
     `rngs` yields the `_generators` of the keys (cfg.seed, t, s): trial t
     from `start` on, and within a trial each stream s in the given order.
-    A config whose `cells` exceed `_MAX_TRIAL_FLOATS` is refused first.
+    A config whose `live` floats a trial (by default `cells`), the most one
+    trial holds at a time, exceed `_MAX_TRIAL_FLOATS` is refused first.
     """
     sizes = {name: getattr(cfg, name) for name in ("resolution", "count", "dim", "components")}
-    _check_trial_floats(cells, **sizes)
+    _check_trial_floats(cells if live is None else live, **sizes)
     rngs = _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
     trials = []
     for sl in column_chunks(cfg.trials, cells):
@@ -816,8 +819,11 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     # a family holds cfg.count intervals, one component g per interval
     streams = (1, *range(10, 10 + cfg.count))
     heights = 2 * cfg.lam_halfspan + 1
-    cells = (cfg.count * heights * cfg.dim) << cfg.resolution
-    trials = _chunked_trials(cfg, _weak11_chunk, streams, cells)
+    # trials are chunked over all heights, but a trial holds its components
+    # and one budgeted run of heights at a time: one height from N = 14 on
+    live = (cfg.count * cfg.dim) << cfg.resolution
+    cells = live * heights
+    trials = _chunked_trials(cfg, _weak11_chunk, streams, cells, live=live)
     worst_excess = _worst(rec["support_excess"] for rec in trials)
     check = _bounded("adjoint of bad part supported on stopping cells", worst_excess, 0.0)
     return _report(cfg, trials, [check], worst_support_excess=worst_excess)

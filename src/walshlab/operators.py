@@ -9,16 +9,19 @@ Theta_s its left-piece levels (`block_sum_family`).  Multiplying component s
 by w_{a_s} recovers the spectral projection of f onto the union of the left
 pieces, which is how the square function of arbitrary interval projections is
 reduced to martingale machinery.  One private engine computes these block
-sums for every caller: `_anchor_columns` builds the anchor functions (one
-parity evaluation of the bit-reversal table against a chunk's anchors) and
-kept index ranges, `_block_sum_chunks` runs the forward map on a (cells, T,
-...) stack of T trials one budgeted chunk of anchors at a time, and
-`_block_sums_adjoint` is its adjoint.  Every anchor column has one owner
-trial: the forward map modulates only that trial's column, and the adjoint
-adds each column of a (cells, C, ...) stack into that trial's accumulator,
-in component order.  A single function is the one-trial stack f[:, None]
-with every owner 0.  The lattice segment transform pair is the same engine
-run with level 0 added to the left-piece levels.
+sums for every caller: `_level_ranges` checks the levels and gives their
+kept index ranges, `_block_sum_chunks` runs the forward map on a (cells,
+T, ...) stack of T trials one budgeted chunk of anchors at a time, and
+`_block_sums_adjoint` is its adjoint.  The forward map never modulates:
+the Walsh coefficients of w_a * f are those of f at m ^ a, so it analyzes
+the stack once and gathers each column's kept coefficients.  The
+adjoint multiplies by the anchor functions (one parity evaluation of the
+bit-reversal table against a chunk's anchors).  Every anchor column has
+one owner trial: the forward map gathers from that trial only, and the
+adjoint adds each column of a (cells, C, ...) stack into that trial's
+accumulator, in component order.  A single function is the one-trial
+stack f[:, None] with every owner 0.  The lattice segment transform pair
+is the same engine run with level 0 added to the left-piece levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -48,7 +51,10 @@ from .intervals import Decomposition
 from .walsh import (
     DyadicFunction,
     ResolutionError,
+    _check_resolved,
+    _synthesize_owned,
     _walsh_columns,
+    analyze_values,
     cell_sums,
     column_chunks,
     project_columns,
@@ -82,9 +88,9 @@ class SeqFunction:
         return cls(res, np.stack([g.values for g in components]))
 
 
-def _anchor_columns(anchors, levels, resolution: int, ndim: int):
-    """(cells, s, 1, ...) anchor functions w_a, shaped to broadcast over a stack
-    with `ndim` axes, and per anchor the index ranges of its (checked) levels."""
+def _level_ranges(levels, resolution: int) -> list[list[tuple[int, int]]]:
+    """Per anchor, the index range [lo, hi) of each of its levels' blocks;
+    a level above `resolution` is refused."""
     ranges = []
     for lv in levels:
         ranges.append([])
@@ -93,8 +99,7 @@ def _anchor_columns(anchors, levels, resolution: int, ndim: int):
                 raise ResolutionError(f"level {j} exceeds resolution {resolution}")
             blk = delta_block(j)
             ranges[-1].append((blk.lo, blk.hi))
-    w = _walsh_columns(anchors, resolution)
-    return w.reshape(w.shape + (1,) * (ndim - 2)), ranges
+    return ranges
 
 
 def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
@@ -104,14 +109,29 @@ def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
     martingale differences of w_{a_s} times trial owners[s] over its levels;
     trailing axes ride along.  A single function is the one-trial stack
     values[:, None] with every owner 0.
+
+    The stack is analyzed once.  The coefficient of w_a * f at m is that of
+    f at m ^ a, so each chunk gathers its kept coefficients in one step and
+    synthesizes them over the hull of its kept ranges.  That is bitwise
+    modulate-then-analyze unless a column's first cell is -0.0, which can
+    flip the sign of a zero; no campaign draw has one.
     """
-    resolution = values.shape[0].bit_length() - 1
+    n = values.shape[0]
+    resolution = n.bit_length() - 1
+    _check_resolved(anchors, resolution, "n")
+    coeffs = analyze_values(values)
+    anchors, owners = np.asarray(anchors, dtype=np.intp), np.asarray(owners, dtype=np.intp)
     for sl in column_chunks(len(anchors), values[:, 0].size):
-        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, values.ndim)
-        # scalar columns are modulated in the anchor columns themselves
-        modulated = np.multiply(w, values[:, owners[sl]], out=w if values.ndim == 2 else None)
-        (sums,) = project_columns(modulated, [ranges])
-        yield sl, sums
+        ranges = _level_ranges(levels[sl], resolution)
+        # one (column, level) pair per kept range, each spread over its rows
+        column = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
+        lo, hi = np.array([r for rs in ranges for r in rs], dtype=np.intp).reshape(-1, 2).T
+        length = hi - lo
+        rows = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+        cols = np.repeat(column, length)
+        kept = np.zeros((n, len(ranges), *values.shape[2:]))
+        kept[rows, cols] = coeffs[rows ^ anchors[sl][cols], owners[sl][cols]]
+        yield sl, _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
 
 
 def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
@@ -151,9 +171,10 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndar
     # rank of each column among the columns of its trial
     ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
     for sl in column_chunks(len(anchors), stacked[:, 0].size):
-        w, ranges = _anchor_columns(anchors[sl], levels[sl], resolution, stacked.ndim)
+        ranges = _level_ranges(levels[sl], resolution)
+        w = _walsh_columns(anchors[sl], resolution)
         (blocks,) = project_columns(stacked[:, sl], [ranges])
-        blocks *= w
+        blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
         for rank in np.unique(ranks[sl]).tolist():
             cols = np.flatnonzero(ranks[sl] == rank)
             acc[:, owners[sl][cols]] += blocks[:, cols]
@@ -163,9 +184,11 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndar
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:
     """Sum over j in `levels` of the level-j martingale difference of w_a * f.
 
-    Computed spectrally: modulate by w_a, then keep the coefficient blocks of
-    the requested levels.  Multiplying the result by w_a again gives the
-    spectral projection of f onto the union of the translated blocks.
+    Computed spectrally: the coefficient of w_a * f at m is that of f at
+    m ^ a, so the kept blocks of the requested levels are gathered from the
+    coefficients of f and synthesized.  Multiplying the result by w_a again
+    gives the spectral projection of f onto the union of the translated
+    blocks.
     """
     ((_, sums),) = _block_sum_chunks(f.values[:, None], [a], [levels], [0])
     return DyadicFunction(f.resolution, sums[:, 0])

@@ -19,14 +19,18 @@ Conventions baked in here:
   and ending with one radix-2 stage for an odd N.  ``fwht`` runs it on a
   copy in natural order.  ``analyze_values`` gathers the input in
   bit-reversed index order and runs it on that copy; ``synthesize_values``
-  runs ``fwht`` and then gathers its output in bit-reversed order.
+  is ``fwht`` followed by a gather of its output in bit-reversed order.
+* Every synthesis runs one private helper on a buffer its caller owns,
+  pruned to the hull [lo, hi) of the kept coefficients: a block of 4h rows
+  that misses the hull is +0.0 and stays +0.0, so each fused pass skips it,
+  bitwise.  ``synthesize_values`` passes the full range.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing
   axes (axis 0 = cells).  `column_chunks` caps such a stack at
   COLUMN_BUDGET cells and `project_columns` runs analyze -> keep index
-  ranges -> synthesize on it; every column comes out bitwise as if
-  transformed alone.
+  ranges -> synthesize over the hull of the kept ranges on it; every
+  column comes out bitwise as if transformed alone.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ def _check_length(n: int) -> None:
         raise ValueError(f"length must be a power of two, got {n}")
 
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
+def _butterfly(a: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Walsh-Hadamard butterfly along axis 0 of a C-contiguous float array, in place.
 
     Radix-2 stage h maps each pair (lo, hi) = (a[j], a[j + h]) to
@@ -149,15 +153,22 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     a scratch buffer and come back as (y0+y2, y1+y3, y0-y2, y1-y3), the same
     sums in the same order as the two radix-2 stages.  Stages run
     h = 1, 2, .. n/2; an odd N ends with one radix-2 stage at h = n/2.
+
+    Rows outside [start, stop) must be +0.0.  A block of 4h rows that misses
+    those rows is still +0.0 after its pass (0 + 0 = 0 - 0 = +0.0), so each
+    fused pass runs only on the blocks that meet [start, stop); the result
+    is bitwise that of the whole pass.
     """
     n = a.shape[0]
     trailing = a.shape[1:]
+    stop = n if stop is None else stop
     scratch = np.empty(a.size)
     stages = n.bit_length() - 1
     for h in (1 << 2 * k for k in range(stages // 2)):
-        x = a.reshape(n // (4 * h), 4, h, *trailing)
+        width = 4 * h
+        x = a[start // width * width : -(-stop // width) * width].reshape(-1, 4, h, *trailing)
         x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-        y0, y1, y2, y3 = scratch.reshape(4, *x0.shape)
+        y0, y1, y2, y3 = scratch[: x.size].reshape(4, *x0.shape)
         np.add(x0, x1, out=y0)
         np.subtract(x0, x1, out=y1)
         np.add(x2, x3, out=y2)
@@ -187,6 +198,16 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return _butterfly(a)
 
 
+def _check_resolved(indices, resolution: int, what: str) -> None:
+    """Refuse an index that is negative or not below 2**resolution."""
+    for n in indices:
+        check_index(n, what)
+        if n >= (1 << resolution):
+            raise ResolutionError(
+                f"index {n} is not resolved on a generation-{resolution} grid"
+            )
+
+
 def _walsh_columns(indices, resolution: int) -> np.ndarray:
     """(cells, len(indices)) samples of the Walsh functions w_n, n in `indices`.
 
@@ -198,12 +219,7 @@ def _walsh_columns(indices, resolution: int) -> np.ndarray:
     cells.  The only temporary as large as the result is the (cells, s)
     table of shared bits.
     """
-    for n in indices:
-        check_index(n, "n")
-        if n >= (1 << resolution):
-            raise ResolutionError(
-                f"index {n} is not resolved on a generation-{resolution} grid"
-            )
+    _check_resolved(indices, resolution, "n")
     shared = bit_reversal(resolution)[:, None] & np.array(indices)
     parity = np.bitwise_count(shared)
     del shared
@@ -229,10 +245,18 @@ def analyze_values(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def _synthesize_owned(kept: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """`synthesize_values` of a C-contiguous float buffer that is +0.0 outside
+    rows [start, stop); the buffer is overwritten."""
+    _butterfly(kept, start, stop)
+    return kept[bit_reversal(kept.shape[0].bit_length() - 1)]
+
+
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
     """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
-    a = fwht(coeffs)
-    return a[bit_reversal(a.shape[0].bit_length() - 1)]
+    a = np.array(coeffs, dtype=float, order="C")
+    _check_length(a.shape[0])
+    return _synthesize_owned(a, 0, a.shape[0])
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:
@@ -245,12 +269,9 @@ def _index_mask(indices, resolution: int) -> np.ndarray:
             )
         mask[indices.lo : indices.hi] = True
         return mask
+    indices = list(indices)
+    _check_resolved(indices, resolution, "projection index")
     for n in indices:
-        check_index(n, "projection index")
-        if n >= size:
-            raise ResolutionError(
-                f"index {n} is not resolved on a generation-{resolution} grid"
-            )
         mask[n] = True
     return mask
 
@@ -274,16 +295,19 @@ def project_columns(
     axis 1 (further axes ride along), and is analyzed once.  A selection
     lists, for every column, the coefficient index ranges [lo, hi) to keep;
     the other coefficients are zeroed and one projection per selection is
-    synthesized and yielded, in order, so callers can reduce them one at a
-    time.  Keep `values` within the `column_chunks` budget.
+    synthesized over the hull of its ranges and yielded, in order, so
+    callers can reduce them one at a time.  An empty selection gives the
+    all-zero projection.  Keep `values` within the `column_chunks` budget.
     """
     coeffs = analyze_values(values)
     for ranges in selections:
         kept = np.zeros_like(coeffs)
+        first, last = coeffs.shape[0], 0  # hull of the kept ranges
         for t, column in enumerate(ranges):
             for lo, hi in column:
                 kept[lo:hi, t] = coeffs[lo:hi, t]
-        yield synthesize_values(kept)
+                first, last = min(first, lo), max(last, hi)
+        yield _synthesize_owned(kept, first, last)
 
 
 def project(indices, f: DyadicFunction) -> DyadicFunction:

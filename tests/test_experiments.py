@@ -549,6 +549,28 @@ def test_trial_float_cap_accepts_up_to_its_limit():
         _check_trial_floats(129 << MAX_RESOLUTION, resolution=MAX_RESOLUTION, count=129)
 
 
+def test_weak11_cap_counts_the_heights_held_at_once(monkeypatch):
+    # a weak11 trial holds its components and one height of bad parts at a
+    # time at N = 20, so the cap counts count * dim grids, not every height;
+    # the chunk is a stub, so nothing is drawn or allocated
+    import walshlab.experiments as experiments
+
+    chunks = []
+
+    def stub(cfg, ts, rngs):
+        chunks.append(ts)
+        return [{"trial": t, "ratio": 1.0, "support_excess": 0.0} for t in ts]
+
+    monkeypatch.setattr(experiments, "_weak11_chunk", stub)
+    cfg = ExperimentConfig(kind="weak11", resolution=20, count=10, trials=2)
+    assert run_weak11(cfg).passed
+    assert chunks == [range(0, 1), range(1, 2)]
+    refusal = r"^resolution 20, count 129, dim 1, components 4 need 135266304 floats a trial"
+    with pytest.raises(ValueError, match=refusal):
+        run_weak11(dataclasses.replace(cfg, count=129))
+    assert chunks == [range(0, 1), range(1, 2)]
+
+
 def _poison(generator, seed, trial):
     """Wrap a seeded generator so that one trial's first cell value is NaN.
 

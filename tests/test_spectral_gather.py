@@ -1,0 +1,172 @@
+"""Bitwise checks of the two shortcuts in the analyze -> keep -> synthesize path.
+
+* Modulation is a coefficient permutation: the Paley coefficients of
+  w_a * f are those of f at m ^ a, in every byte, signed zeros included,
+  for every campaign draw.  Only a -0.0 in the first cell, which no draw
+  has, can flip the sign of a zero coefficient.
+  The forward block-sum engine gathers instead of modulating, so it is
+  pinned against a reference that modulates.
+* Pruned synthesis: a buffer that is +0.0 outside the hull [lo, hi) of its
+  kept rows synthesizes to the same bytes when the butterfly skips the
+  blocks that miss the hull.
+
+Bytes are compared with `tobytes()`, because `np.array_equal` treats -0.0
+and +0.0 as equal.
+"""
+
+import numpy as np
+import pytest
+
+from walshlab import walsh
+from walshlab.dyadic import delta_block
+from walshlab.experiments import (
+    random_function,
+    random_interval_family,
+    random_lattice_function,
+)
+from walshlab.intervals import family_decompose
+from walshlab.operators import _block_sum_chunks
+from walshlab.walsh import (
+    _synthesize_owned,
+    _walsh_columns,
+    analyze_values,
+    bit_reversal,
+    fwht,
+    project_columns,
+    synthesize_values,
+    walsh_eval,
+)
+
+POLICIES = ("gaussian-cells", "rademacher-cells", "sparse-spectrum:3")
+RESOLUTIONS = (0, 1, 2, 3, 8, 11)
+
+
+def draw(resolution, dim, policy, key):
+    """One scalar (cells,) or lattice (cells, dim) draw."""
+    if dim is None:
+        return random_function(key, resolution, policy).values
+    return random_lattice_function(key, resolution, dim, 3.0, policy).values
+
+
+def anchors_of(resolution):
+    """Every anchor up to N = 8, a spread of 64 of them above."""
+    n = 1 << resolution
+    if n <= 256:
+        return range(n)
+    return sorted({0, 1, n - 1, *np.random.default_rng(resolution).choice(n, 61).tolist()})
+
+
+@pytest.mark.parametrize("dim", [None, 3])
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_modulation_permutes_coefficients(policy, resolution, dim):
+    values = draw(resolution, dim, policy, [5, resolution])
+    coeffs = analyze_values(values)
+    m = np.arange(1 << resolution)
+    for a in anchors_of(resolution):
+        w = walsh_eval(a, resolution).values
+        modulated = (w if dim is None else w[:, None]) * values
+        assert analyze_values(modulated).tobytes() == coeffs[m ^ a].tobytes(), a
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+def test_signed_zeros_permute_bitwise_unless_the_first_cell_is_minus_zero(resolution):
+    rng = np.random.default_rng(resolution)
+    m = np.arange(1 << resolution)
+    for _ in range(200):
+        f = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0, 2.0]), size=1 << resolution)
+        for first in (0.0, -0.0):
+            f[0] = first
+            coeffs = analyze_values(f)
+            for a in m.tolist():
+                permuted = analyze_values(walsh_eval(a, resolution).values * f)
+                if not np.signbit(first):
+                    assert permuted.tobytes() == coeffs[m ^ a].tobytes(), (f, a)
+                else:
+                    assert np.array_equal(permuted, coeffs[m ^ a]), (f, a)
+
+
+def _stack_and_families(resolution, dim, policy, trials):
+    values = np.stack(
+        [draw(resolution, dim, policy, [9, resolution, t]) for t in range(trials)], axis=1
+    )
+    rng = np.random.default_rng([resolution, trials])
+    count = max(1, min(4, (1 << resolution) // 2))
+    decs, owners = [], []
+    for t in range(trials):
+        family = family_decompose(random_interval_family(rng, resolution, count, "random"))
+        decs += family
+        owners += [t] * len(family)
+    return values, decs, np.array(owners)
+
+
+@pytest.mark.parametrize("segment", [False, True])
+@pytest.mark.parametrize("dim", [None, 3])
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_forward_engine_matches_modulating_reference(
+    monkeypatch, policy, resolution, dim, segment
+):
+    # three columns a chunk, so chunks with and without a shared hull occur
+    column_cells = (1 << resolution) * (dim or 1)
+    monkeypatch.setattr(walsh, "COLUMN_BUDGET", 3 * column_cells)
+    values, decs, owners = _stack_and_families(resolution, dim, policy, trials=3)
+    anchors = [d.anchor for d in decs]
+    levels = [((0,) if segment else ()) + d.left_levels for d in decs]
+    seen = 0
+    for sl, sums in _block_sum_chunks(values, anchors, levels, owners):
+        w = _walsh_columns(anchors[sl], resolution)
+        w = w.reshape(w.shape + (1,) * (values.ndim - 2))
+        ranges = [[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels[sl]]
+        (reference,) = project_columns(w * values[:, owners[sl]], [ranges])
+        assert sums.shape == reference.shape
+        assert sums.tobytes() == reference.tobytes(), sl
+        seen += sl.stop - sl.start
+    assert seen == len(decs)
+
+
+def _hulls(n):
+    """Empty, first row, last row, across a 4h boundary, and full hulls."""
+    hulls = [(0, 0), (n, 0), (0, 1), (n - 1, n), (0, n)]
+    if n >= 8:
+        hulls += [(3, 5), (n // 4 - 1, n // 4 + 2), (n // 2 - 3, n // 2 + 1), (1, n - 1)]
+    return hulls
+
+
+@pytest.mark.parametrize("trailing", [(), (2, 3)])
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3, 4, 5, 8, 9])
+def test_pruned_synthesis_is_bitwise_full_synthesis(resolution, trailing):
+    n = 1 << resolution
+    rng = np.random.default_rng([resolution, len(trailing)])
+    for lo, hi in _hulls(n):
+        kept = np.zeros((n, *trailing))
+        if hi > lo:
+            kept[lo:hi] = rng.standard_normal((hi - lo, *trailing))
+            kept[lo] = -0.0  # signed zeros inside the hull must survive
+        full = fwht(kept)[bit_reversal(resolution)]
+        pruned = _synthesize_owned(kept.copy(), lo, hi)
+        assert pruned.tobytes() == full.tobytes(), (lo, hi)
+        assert synthesize_values(kept).tobytes() == full.tobytes()
+    # an empty hull gives the all-(+0.0) synthesis
+    empty = _synthesize_owned(np.zeros((n, *trailing)), n, 0)
+    assert empty.tobytes() == np.zeros((n, *trailing)).tobytes()
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 3, 8])
+def test_project_columns_is_bitwise_unpruned(resolution):
+    n = 1 << resolution
+    draws = [draw(resolution, None, "gaussian-cells", [1, resolution, t]) for t in range(2)]
+    values = np.stack(draws, axis=1)
+    coeffs = analyze_values(values)
+    selections = [[[], []], [[(0, 1)], []], [[(n - 1, n)], [(0, n)]]]
+    if n >= 8:
+        selections += [[[(3, 5)], [(7, 8), (1, 2)]], [[(n // 2 - 1, n // 2 + 3)], [(5, n - 1)]]]
+    for selection, projection in zip(selections, project_columns(values, selections)):
+        kept = np.zeros_like(coeffs)
+        for t, column in enumerate(selection):
+            for lo, hi in column:
+                kept[lo:hi, t] = coeffs[lo:hi, t]
+        assert projection.tobytes() == fwht(kept)[bit_reversal(resolution)].tobytes(), selection
+    # an empty selection gives the all-(+0.0) projection
+    (empty,) = project_columns(values, [[[], []]])
+    assert empty.tobytes() == np.zeros_like(values).tobytes()
