@@ -6,7 +6,9 @@ array of cell values.  On top of that this module provides
 
 * the mixed norms: L^p of the lattice norm, and the L^p norm of a
   Rademacher sum (exact sign enumeration up to 20 components, seeded Monte
-  Carlo beyond);
+  Carlo beyond).  Exact sign sums are built by doubling, and every lattice
+  norm adds its coordinates in the order of numpy's sum along a contiguous
+  axis, whatever the memory layout;
 * the segment transform pair: component s of the forward map is the sum of
   martingale differences of w_{a_s} * f over the anchor level 0 and the
   left-piece levels of interval s, so that modulating back by w_{a_s}
@@ -34,7 +36,6 @@ array of cell values.  On top of that this module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,40 +50,94 @@ EXACT_SIGN_LIMIT = 20
 MC_SAMPLE_LIMIT = 10**9
 _SIGN_CHUNK = 1 << 12
 _PAIRING_BUDGET = 1 << 16  # floats per sign-pairing array
-_SIGN_SUM_BUDGET = 1 << 20  # floats per (rows, cells, d) array of signed sums
+_SIGN_SUM_BUDGET = 1 << 20  # floats per (d, rows, cells) block of signed sums
 _TINY = np.finfo(float).tiny  # smallest normal float
+
+
+def _fold(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x[0] + ... + x[n-1] over the leading axis of x, which it overwrites.
+
+    The terms are added in the order of numpy's sum along a contiguous axis
+    of length n: below 8 terms in sequence; from 8 to 128, eight
+    accumulators take every eighth term, are combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the remaining
+    terms follow in sequence; above 128 the axis is split at half its
+    length, rounded down to a multiple of 8, and the two sums are added.
+    Each ufunc call adds whole slices, so every entry sums on its own, in
+    any memory layout.
+    """
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _fold(x[half:], x[half])
+        _fold(x[:half], out)
+        out += x[half]
+        return out
+    if n < 8:
+        if n == 1:
+            np.copyto(out, x[0])
+        else:
+            np.add(x[0], x[1], out=out)
+        rest = range(2, n)
+    else:
+        top = n - n % 8
+        for i in range(8, top, 8):
+            x[:8] += x[i : i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        np.add(x[0], x[4], out=out)
+        rest = range(top, n)
+    for i in rest:
+        out += x[i]
+    return out
+
+
+def _fold_norms(size: np.ndarray, q: float, out: np.ndarray, coords) -> None:
+    """Write the l^q norms along the leading axis of `size` into `out`.
+
+    `size` holds the absolute coordinates, (d, ...), and is overwritten;
+    `out` has its trailing shape, in any layout.  `coords()` gives the
+    coordinates again for the rare cells that `lattice_norm` redoes.
+    """
+    if q == np.inf:
+        np.max(size, axis=0, out=out)
+        return
+    with np.errstate(over="ignore"):  # overflowed cells are redone below
+        size **= q  # in place: the same powers as `size ** q`, with no temporary
+        _fold(size, out)
+    redo = None
+    if out.size and not (_TINY <= out.min() and out.max() < np.inf):
+        redo = np.flatnonzero(~(out >= _TINY) | (out == np.inf))
+    out **= 1.0 / q
+    if redo is not None:
+        rows = coords().reshape(len(size), -1)[:, redo].T
+        x = np.abs(rows, order="C")  # (cells, d): each cell sums along a contiguous row
+        top = x.max(axis=1)
+        keep = (0 < top) & (top < np.inf)  # zero cells stay 0, NaN and inf stay
+        x = x[keep] / top[keep, None]
+        x **= q
+        out.flat[redo[keep]] = top[keep] * x.sum(axis=1) ** (1.0 / q)
 
 
 def lattice_norm(coords: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     """l^q norm along `axis` (max for q = inf).
 
-    A cell whose sum of q-th powers overflows, or falls below the smallest
-    normal float while its coordinates are not all zero, is redone as
-    M * sum((|x| / M) ** q) ** (1/q) with M its largest |coordinate|; every
-    other cell keeps the bits of the plain formula.
+    The q-th powers add up as numpy's sum along a contiguous axis adds them
+    (`_fold`), which is `sum(axis=axis)` wherever `axis` is contiguous in
+    memory or shorter than 8.  A cell whose sum of q-th powers overflows,
+    or falls below the smallest normal float while its coordinates are not
+    all zero, is redone as M * sum((|x| / M) ** q) ** (1/q) with M its
+    largest |coordinate|; every other cell keeps the bits of the plain
+    formula.
     """
     coords = np.asarray(coords, dtype=float)
-    size = np.abs(coords)
-    if q == np.inf:
-        return size.max(axis=axis)
     if not q >= 1:  # refuses NaN too
         raise ValueError(f"lattice exponent must be >= 1, got {q}")
-    with np.errstate(over="ignore"):  # overflowed cells are redone below
-        size **= q  # in place: the same powers as `size ** q`, with no temporary
-        norms = np.asarray(size.sum(axis=axis))  # 0-d for a single cell
-    flat = norms.reshape(-1)  # a view: `norms` is a fresh contiguous array
-    redo = None
-    if flat.size and not (_TINY <= flat.min() and flat.max() < np.inf):
-        redo = np.flatnonzero(~(flat >= _TINY) | (flat == np.inf))
-    norms **= 1.0 / q
-    if redo is not None:
-        rows = np.moveaxis(coords, axis, -1).reshape(-1, coords.shape[axis])
-        x = np.abs(rows[redo])
-        top = x.max(axis=1)
-        keep = (0 < top) & (top < np.inf)  # zero cells stay 0, NaN and inf stay
-        x = x[keep] / top[keep, None]
-        x **= q
-        flat[redo[keep]] = top[keep] * x.sum(axis=1) ** (1.0 / q)
+    moved = np.moveaxis(coords, axis, 0)
+    dim = len(moved)
+    norms = np.empty(moved.shape[1:])
+    size = np.abs(moved, order="C").reshape(dim, -1)  # coordinate-major
+    _fold_norms(size, q, norms.reshape(-1), lambda: moved.reshape(dim, -1))
     return norms[()]
 
 
@@ -155,12 +210,39 @@ def _exact_sign_block(count: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the exact sign matrix: entry s of row k is -1 iff
     bit s of k is set."""
     rows = np.arange(start, stop, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((rows[:, None] >> np.arange(count)) & 1)
-    signs.setflags(write=False)
-    return signs
+    return 1.0 - 2.0 * ((rows[:, None] >> np.arange(count)) & 1)
 
 
-_cached_sign_block = lru_cache(maxsize=8)(_exact_sign_block)
+def _exact_sign_sums(part: np.ndarray, rows: range, out=None) -> np.ndarray:
+    """Signed sums sum_s e_s part[s] over a range of exact sign rows.
+
+    `part` is an (S, m, ...) stack and the result an (m, len(rows), ...)
+    array, written into `out` if given.  The range is a power-of-two block
+    of rows that starts at a multiple of its length, so its rows share
+    every sign bit from b = log2(len(rows)) up.  Doubling builds them from
+    one row of +0.0: for each low bit s < b, the rows made so far, minus
+    part[s], become the next rows, and then part[s] is added to the rows
+    made so far; each shared bit s >= b then adds +-part[s] to every row
+    (entry s of row k is -1 iff bit s of k is set).  So every row sums
+    ((0 + e_0 part[0]) + e_1 part[1]) + ... left to right in s, and as
+    x - y is x + (-y) in IEEE arithmetic, it gets the bits of the same sum
+    made one component at a time.  A Gray-code walk, which flips one sign
+    per row, would reorder the sum and change the bits.
+    """
+    sums = np.empty((part.shape[1], len(rows)) + part.shape[2:]) if out is None else out
+    sums[:, :1] = 0.0
+    low = len(rows).bit_length() - 1
+    for s in range(part.shape[0]):
+        term = part[s][:, None]
+        if s < low:
+            made = 1 << s
+            np.subtract(sums[:, :made], term, out=sums[:, made : 2 * made])
+            sums[:, :made] += term
+        elif rows.start >> s & 1:
+            sums -= term
+        else:
+            sums += term
+    return sums
 
 
 def _mc_samples(mode: str) -> int | None:
@@ -191,16 +273,20 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
     The sign rows (the full hypercube or one seeded sample) are cut into
     chunks of `rows` rows, a power of two; a sample is drawn one chunk at a
     time, which gives the rows of one draw of the whole sample, in order, and
-    holds one chunk of draws at a time.  `row_values` maps a (K, count)
-    block of sign rows to results with one leading entry per row, and
-    `reduce` maps the row results of one whole chunk, in row order, to that
-    chunk's entry of the returned list.
+    holds one chunk of draws at a time.  `row_values(block, spare=0)` maps a
+    block of K sign rows, a (K, count) array of drawn signs or the range of
+    K exact row indices, to an array whose first K entries along the
+    leading axis are the rows' results, followed by `spare` entries for the
+    caller to fill.  `reduce` maps the row results of one whole chunk, in
+    row order, to that chunk's entry of the returned list.
 
     Exact mode evaluates only half of the 2**count rows.  Row 2**count-1-k
     is the negation of row k, and `row_values` must give a row and its
     negation bitwise-equal results, so chunk C-1-c is chunk c reversed, and
-    a lone chunk ends with its first half reversed.  Exact rows are built
-    per chunk from their indices; the whole sign matrix is never held.
+    a lone chunk asks for its first half with room for the second, which
+    it fills with the first half reversed.  Every exact block is a power of
+    two of rows starting at a multiple of its length; the sign matrix is
+    never built.
     """
     samples = _mc_samples(mode)
     if samples is not None:
@@ -217,12 +303,14 @@ def _sign_chunks(count, mode, seed, row_values, reduce, rows=_SIGN_CHUNK):
         )
     total = 1 << count
     if total <= rows:
-        half = row_values(_cached_sign_block(count, 0, total // 2))
-        return [reduce(np.concatenate([half, half[::-1]]))], total
+        half = total // 2
+        vals = row_values(range(half), half)
+        vals[half:] = vals[half - 1 :: -1]
+        return [reduce(vals)], total
     chunks = total // rows
     partials = [None] * chunks
     for c in range(chunks // 2):
-        vals = row_values(_exact_sign_block(count, c * rows, (c + 1) * rows))
+        vals = row_values(range(c * rows, (c + 1) * rows))
         partials[c] = reduce(vals)
         partials[chunks - 1 - c] = reduce(vals[::-1])
     return partials, total
@@ -250,9 +338,16 @@ def rad_norm_values(
     """Per-cell L^p Rademacher-average norms of a component family.
 
     Sign enumeration is chunked so exact mode stays memory-safe up to the
-    component limit, and a chunk's signed sums are made a sub-block of rows
-    at a time once they would exceed `_SIGN_SUM_BUDGET` floats; the p-th
-    powers add up one chunk at a time, in row order.
+    component limit.  A block of sign rows is summed into a coordinate-major
+    (d, rows, cells) buffer, by doubling for exact rows (`_exact_sign_sums`)
+    and by `einsum` for drawn rows and for components of a single float,
+    where `einsum` sums in another order.  The buffer's absolute values are
+    raised to q in place and its coordinates folded in numpy's order
+    (`_fold`), into the block's rows of one (rows, cells) buffer of norms.
+    Once a block's sums would exceed `_SIGN_SUM_BUDGET` floats it is cut
+    into power-of-two blocks of rows, and below one row into blocks of
+    cells; a norm depends on no other row or cell, so the bits stay.  The
+    p-th powers add up one chunk at a time, in row order.
     A cell whose mean of powers overflows, or falls below the smallest normal
     float while its components are not all zero, is redone over the same sign
     rows as M * mean((norm / M) ** p) ** (1/p), with M its largest norm; every
@@ -266,30 +361,41 @@ def rad_norm_values(
         seed = np.random.SeedSequence().entropy  # one sample for every pass
 
     def over_signs(part, finish, reduce):
-        """`_sign_chunks` of `finish(norms)` at the cells of a component stack."""
+        """`_sign_chunks` of the norms at the cells of a component stack, after
+        `finish` has worked on them in place."""
+        count, cells, dim = part.shape
+        coords = np.ascontiguousarray(part.transpose(0, 2, 1))  # (S, d, cells)
+        width = min(cells, max(1, _SIGN_SUM_BUDGET // dim))
+        fit = max(1, _SIGN_SUM_BUDGET // (dim * width))
+        step = 1 << (fit.bit_length() - 1)  # keeps exact blocks aligned
 
-        def norms(signs):
-            return lattice_norm(np.einsum("ks,scd->kcd", signs, part), q, axis=2)
+        def signed_sums(rows, cols, out=None):  # (d, K, width) sums of a block of rows
+            if isinstance(rows, range) and cells * dim > 1:
+                return _exact_sign_sums(coords[:, :, cols], rows, out)
+            if isinstance(rows, range):
+                rows = _exact_sign_block(count, rows.start, rows.stop)
+            return np.einsum("ks,sdc->dkc", rows, coords[:, :, cols])
 
-        def row_values(signs):
-            # a row's norms do not depend on the rows beside it, so a chunk
-            # whose sums outgrow the budget is summed a sub-block at a time
-            step = max(1, _SIGN_SUM_BUDGET // part[0].size)
-            if len(signs) <= step:
-                return finish(norms(signs))
-            out = np.empty((len(signs), part.shape[1]))
-            for start in range(0, len(signs), step):
-                out[start : start + step] = norms(signs[start : start + step])
-            return finish(out)
+        def row_values(block, spare=0):
+            norms = np.empty((len(block) + spare, cells))
+            for lo in range(0, len(block), step):
+                for c in range(0, cells, width):
+                    rows, cols = block[lo : lo + step], slice(c, c + width)
+                    target = norms[lo : lo + len(rows), cols]
+                    # at d = 1 exact sums are made in place of their norms
+                    size = signed_sums(rows, cols, target[None] if dim == 1 else None)
+                    np.abs(size, out=size)
+                    _fold_norms(size, q, target, lambda: signed_sums(rows, cols))
+            finish(norms[: len(block)])
+            return norms
 
-        return _sign_chunks(part.shape[0], mode, seed, row_values, reduce)
+        return _sign_chunks(count, mode, seed, row_values, reduce)
 
     def mean_powers(part, scale=None):
         def powers(norms):
             if scale is not None:
                 norms /= scale
             norms **= p
-            return norms
 
         partials, total = over_signs(part, powers, lambda vals: vals.sum(axis=0))
         acc = np.zeros(part.shape[1])
@@ -304,7 +410,7 @@ def rad_norm_values(
     redo = redo[stacked[:, redo].any(axis=(0, 2))]  # all-zero cells stay 0
     if redo.size:
         part = stacked[:, redo]
-        partials, _ = over_signs(part, lambda norms: norms, lambda vals: vals.max(axis=0))
+        partials, _ = over_signs(part, lambda norms: None, lambda vals: vals.max(axis=0))
         top = np.maximum.reduce(partials)
         keep = (0 < top) & (top < np.inf)  # a Monte Carlo sample can cancel every sum
         out[redo[keep]] = top[keep] * mean_powers(part[:, keep], top[keep]) ** (1.0 / p)
@@ -336,24 +442,20 @@ def _sign_averaged_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
     Each trial folds its sign rows' pairings in row order.
     """
-    count = left.shape[0]
+    count, trials = left.shape[:2]
 
-    def pairings(signs):  # (rows, T) pairings of a block of sign rows
-        lsum = np.zeros(signs.shape[:1] + left.shape[1:])
-        rsum = np.zeros_like(lsum)
-        term = np.empty_like(lsum)
-        for s in range(count):
-            col = signs[:, s, None, None, None]
-            lsum += np.multiply(col, left[s], out=term)
-            rsum += np.multiply(col, right[s], out=term)
-        del term
-        return _pairings(lsum, rsum)
+    def pairings(rows, spare=0):  # (rows, T) pairings of a block of exact sign rows
+        out = np.empty((len(rows) + spare, trials))
+        lsum = _exact_sign_sums(left, rows)  # (T, rows, cells, d)
+        rsum = _exact_sign_sums(right, rows)
+        out[: len(rows)] = _pairings(lsum, rsum).T
+        return out
 
     # the largest power of two of rows whose (rows, T, cells, d) arrays fit the budget
     fit = min(_SIGN_CHUNK, max(1, _PAIRING_BUDGET // left[0].size))
     rows = 1 << (fit.bit_length() - 1)
     partials, total = _sign_chunks(count, "exact", None, pairings, lambda vals: vals, rows)
-    acc = np.zeros(left.shape[1])
+    acc = np.zeros(trials)
     for part in partials:
         for values in part:
             acc += values

@@ -144,3 +144,159 @@ def test_rad_norm_values_sub_blocks_at_the_default_budget():
     comps = components(13, 6, 8, 2.0, seed=13)
     got = rad_norm_values(comps, 2.0)
     assert got.tobytes() == reference_rad_norm_values(comps, 2.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the doubling builder, the coordinate fold and the budget's cell blocks
+
+
+def signed_components(count, resolution, dim, seed):
+    """(S, cells, d) values with exact zeros, -0.0 and +-1 among the normals."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((count, 1 << resolution, dim))
+    pick = rng.integers(0, 6, size=values.shape)
+    values[pick == 0] = 0.0
+    values[pick == 1] = -0.0
+    values[pick == 2] = np.sign(values[pick == 2])
+    return values
+
+
+def engine_blocks(count, floats):
+    """The exact row blocks `rad_norm_values` sums at once for components of
+    `floats` floats: a lone chunk's first half, or the first, a middle and
+    the last evaluated 4,096-row chunk, cut to the budget's power of two."""
+    from walshlab.lattice import _SIGN_CHUNK, _SIGN_SUM_BUDGET
+
+    total = 1 << count
+    if total <= _SIGN_CHUNK:
+        starts, size = [0], total // 2
+    else:
+        half = total // _SIGN_CHUNK // 2
+        starts = sorted({0, half // 2, half - 1})
+        starts, size = [c * _SIGN_CHUNK for c in starts], _SIGN_CHUNK
+    fit = max(1, _SIGN_SUM_BUDGET // floats)
+    size = min(size, 1 << (fit.bit_length() - 1))
+    return [range(start, start + size) for start in starts]
+
+
+@pytest.mark.parametrize("resolution", [0, 2, 6])
+@pytest.mark.parametrize("count", range(1, 17))
+def test_sign_sums_by_doubling_match_einsum(count, resolution):
+    from walshlab.lattice import _exact_sign_block, _exact_sign_sums
+
+    for dim in (1, 3, 7, 8, 9, 17):
+        values = signed_components(count, resolution, dim, seed=count * 100 + dim)
+        coords = np.ascontiguousarray(values.transpose(0, 2, 1))  # (S, d, cells)
+        for rows in engine_blocks(count, values[0].size):
+            signs = _exact_sign_block(count, rows.start, rows.stop)
+            got = _exact_sign_sums(coords, rows).transpose(1, 2, 0)  # (rows, cells, d)
+            # one sum per component, in order: the loop the pairing ran
+            loop = np.zeros(got.shape)
+            for s in range(count):
+                loop += signs[:, s, None, None] * values[s]
+            assert got.tobytes() == loop.tobytes(), (dim, rows)
+            if values[0].size > 1:  # einsum dots a lone float in another order
+                want = np.einsum("ks,scd->kcd", signs, values)
+                assert np.abs(got).tobytes() == np.abs(want).tobytes(), (dim, rows)
+
+
+def test_fold_is_numpys_contiguous_sum():
+    from walshlab.lattice import _fold
+
+    rng = np.random.default_rng(11)
+    for dim in range(1, 141):
+        scale = rng.choice([1e-8, 1.0, 1e8], size=(37, dim))
+        x = rng.standard_normal((37, dim)) * scale
+        for values in (x, np.abs(x)):
+            want = values.sum(axis=-1)  # a C-contiguous array: pairwise along rows
+            got = _fold(np.ascontiguousarray(values.T), np.empty(37))
+            assert got.tobytes() == want.tobytes(), dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 130])
+def test_lattice_norm_keeps_the_bits_of_a_contiguous_sum(dim):
+    from walshlab.lattice import lattice_norm
+
+    coords = np.random.default_rng(dim).standard_normal((5, 6, dim))
+    for q in (1.0, 2.0, 3.0, np.inf):
+        want = (
+            np.abs(coords).max(axis=2) if q == np.inf
+            else (np.abs(coords) ** q).sum(axis=2) ** (1.0 / q)
+        )
+        assert lattice_norm(coords, q, axis=2).tobytes() == want.tobytes()
+        assert lattice_norm(coords, q).tobytes() == want.tobytes()
+
+
+def reference_norms_with_redo(coords, q):
+    """The lattice norm along axis 2 as the sign-sum norm took it before the
+    fold: numpy's sum, and cells out of float range redone by their largest
+    coordinate."""
+    norms = (np.abs(coords) ** q).sum(axis=2)
+    flat = norms.reshape(-1)
+    redo = np.flatnonzero(~(flat >= np.finfo(float).tiny) | (flat == np.inf))
+    norms **= 1.0 / q
+    x = np.abs(coords.reshape(-1, coords.shape[2])[redo])
+    top = x.max(axis=1)
+    keep = (0 < top) & (top < np.inf)
+    x = x[keep] / top[keep, None]
+    flat[redo[keep]] = top[keep] * (x**q).sum(axis=1) ** (1.0 / q)
+    return norms
+
+
+def reference_rad_norm_values_with_redo(components, p):
+    """Every exact sign row at once, with both redo steps (at most 12
+    components, one chunk)."""
+    stacked = np.stack([g.values for g in components])
+    q = components[0].q
+    signs = all_signs(stacked.shape[0])
+
+    def norms(part):
+        with np.errstate(over="ignore"):
+            return reference_norms_with_redo(np.einsum("ks,scd->kcd", signs, part), q)
+
+    with np.errstate(over="ignore"):
+        means = (norms(stacked) ** p).sum(axis=0) / len(signs)
+    out = means ** (1.0 / p)
+    redo = np.flatnonzero(np.isinf(means) | (means < np.finfo(float).tiny))
+    redo = redo[stacked[:, redo].any(axis=(0, 2))]
+    if redo.size:
+        part = norms(stacked[:, redo])
+        top = part.max(axis=0)
+        keep = (0 < top) & (top < np.inf)
+        scaled = np.ascontiguousarray(part[:, keep]) / top[keep]  # rows sum in sequence
+        mean = (scaled**p).sum(axis=0) / len(signs)
+        out[redo[keep]] = top[keep] * mean ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 200.0])
+@pytest.mark.parametrize("dim", [8, 9])
+@pytest.mark.parametrize("count", [1, 4, 9])
+def test_rad_norm_values_fold_coordinates_and_redo_cells(count, dim, q):
+    # from 8 coordinates on the fold is pairwise; cell 1 overflows its
+    # q-th and p-th powers, cell 2 underflows them, cell 3 is zero
+    values = np.random.default_rng(count + dim).standard_normal((count, 8, dim))
+    values[:, 1] *= 1e300
+    values[:, 2] *= 1e-300
+    values[:, 3] = 0.0
+    comps = [LatticeFunction(3, v, q) for v in values]
+    for p in (2.0, 4.0, 300.0):
+        got = rad_norm_values(comps, p)
+        assert got.tobytes() == reference_rad_norm_values_with_redo(comps, p).tobytes()
+        assert np.isfinite(got).all() and got[3] == 0.0 and got[1] > 1e299
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc:300"])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("budget", [1, 2, 5, "row"])
+def test_rad_norm_values_in_cell_blocks(monkeypatch, budget, dim, mode):
+    # a budget below one row of signed sums cuts the cells into blocks too
+    import walshlab.lattice as lattice
+
+    comps = components(6, 4, dim, 3.0, seed=300 + dim)
+    if budget == "row":
+        budget = comps[0].values.size - 1
+    monkeypatch.setattr(lattice, "_SIGN_SUM_BUDGET", budget)
+    got = rad_norm_values(comps, 4.0, mode, seed=[7, dim])
+    want = reference_rad_norm_values(comps, 4.0, mode, seed=[7, dim])
+    assert got.tobytes() == want.tobytes()
