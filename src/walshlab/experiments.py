@@ -85,6 +85,7 @@ from .operators import (
 from .walsh import (
     DyadicCell,
     DyadicFunction,
+    bit_reversal,
     column_chunks,
     mart_diff,
     project,
@@ -445,7 +446,8 @@ def _interval_projections(values: np.ndarray, families):
     any further axes being lattice coordinates; `families` holds one
     interval list per column.  A column whose list is shorter keeps nothing
     past its end, i.e. gets an exact zero projection.  Yields one
-    projection of the whole stack per s.
+    projection of the whole stack per s, its cells in bit-reversed order
+    (see `project_columns`).
     """
     depth = max(map(len, families), default=0)
     selections = (
@@ -460,7 +462,10 @@ def _sq_sum_of_projections(values: np.ndarray, intervals) -> np.ndarray:
 
     `values` is one grid function with its interval list, or a (cells, T)
     stack of functions with one interval list per column.  Squares are
-    added in interval order, one (cells, T) projection at a time.
+    added in interval order, one (cells, T) projection at a time, with the
+    cells in the bit-reversed order the projections come out in; the sum is
+    put back in cell order once, at the end.  Squaring and adding act cell
+    by cell, so the bits are those of folding natural-order projections.
     """
     if values.ndim == 1:
         return _sq_sum_of_projections(values[:, None], [intervals])[:, 0]
@@ -468,7 +473,7 @@ def _sq_sum_of_projections(values: np.ndarray, intervals) -> np.ndarray:
     for proj in _interval_projections(values, intervals):
         acc += np.square(proj, out=proj)
         del proj  # free it before the next projection is made
-    return acc
+    return acc[bit_reversal(values.shape[0].bit_length() - 1)]
 
 
 def _ratio(num: float, den: float) -> float:
@@ -501,15 +506,19 @@ def _scalar_probes(resolution: int) -> list[tuple[str, np.ndarray, list[IntInter
     cases.append(("walsh-covered", w(mid), blocks))
     if resolution >= 3:
         low_blocks = [delta_block(k) for k in (1, 2, 3)]
+        low, high = w(1) + w(2), w(4) - w(7)
         for c in (1.0, 1.272, 2.0):
-            vals = w(1) + w(2) + c * (w(4) - w(7))
-            cases.append((f"cascade-{c}", vals, low_blocks))
+            cases.append((f"cascade-{c}", low + c * high, low_blocks))
     spike = np.zeros(n)
     spike[0] = float(n)
     cases.append(("spike", spike, blocks))
-    riesz = np.ones(n)
-    for k in range(1, resolution + 1):
-        riesz = riesz * (1.0 + 0.9 * w(1 << (k - 1)))
+    # prod over k = 1..N of (1 + 0.9 r_k), built by doubling: r_k is +1 on
+    # the cells whose k-th leading binary digit is 0, so each step appends
+    # that digit and multiplies by its factor, in the order k = 1, 2, ...
+    riesz = np.ones(1)
+    factors = 1.0 + 0.9 * np.array([1.0, -1.0])
+    for _ in range(resolution):
+        riesz = (riesz[:, None] * factors).reshape(-1)
     cases.append(("riesz-0.9", riesz, blocks))
     return cases
 
@@ -655,7 +664,9 @@ def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     values = np.stack([f.values for f in fs], axis=1)  # (cells, T, d)
     comps = [[] for _ in ts]
     sq = np.zeros(values.shape[:2])  # scalar square function at d = 1
+    rev = bit_reversal(cfg.resolution)
     for s, proj in enumerate(_interval_projections(values, families)):
+        proj = proj[rev]
         for k, family in enumerate(families):
             if s < len(family):
                 comps[k].append(LatticeFunction(cfg.resolution, proj[:, k], cfg.q))

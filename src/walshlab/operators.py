@@ -15,11 +15,13 @@ T, ...) stack of T trials one budgeted chunk of anchors at a time, and
 `_block_sums_adjoint` is its adjoint.  The forward map never modulates:
 the Walsh coefficients of w_a * f are those of f at m ^ a, so it analyzes
 the stack once and gathers each column's kept coefficients.  The
-adjoint multiplies by the anchor functions (one parity evaluation of the
-bit-reversal table against a chunk's anchors).  Every anchor column has
-one owner trial: the forward map gathers from that trial only, and the
-adjoint adds each column of a (cells, C, ...) stack into that trial's
-accumulator, in component order.  A single function is the one-trial
+adjoint works on cells in the bit-reversed order its projections come out
+in: it multiplies by the anchor functions in that order (one parity
+evaluation of the cell indices against a chunk's anchors) and gathers its
+accumulator once, at the end.  Every anchor column has one owner trial:
+the forward map gathers from that trial only, and the adjoint adds each
+column of a (cells, C, ...) stack into that trial's accumulator, in
+component order.  A single function is the one-trial
 stack f[:, None] with every owner 0.  The lattice segment transform pair
 is the same engine run with level 0 added to the left-piece levels.
 
@@ -53,8 +55,8 @@ from .walsh import (
     ResolutionError,
     _check_resolved,
     _synthesize_owned,
-    _walsh_columns,
     analyze_values,
+    bit_reversal,
     cell_sums,
     column_chunks,
     project_columns,
@@ -131,7 +133,8 @@ def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
         cols = np.repeat(column, length)
         kept = np.zeros((n, len(ranges), *values.shape[2:]))
         kept[rows, cols] = coeffs[rows ^ anchors[sl][cols], owners[sl][cols]]
-        yield sl, _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
+        sums = _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
+        yield sl, sums[bit_reversal(resolution)]
 
 
 def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
@@ -163,22 +166,32 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndar
     (cells, T, ...) stack whose trial t sums, in column order, w_{a_c} times
     the block sums of its own columns c.  Within a chunk the k-th columns of
     all trials are added in one step, k = 0, 1, ...
+
+    The projections come out in bit-reversed cell order, so the anchor
+    functions are evaluated in that order too: on row j, which holds cell
+    bit_reversal(N)[j], w_a is -1 where j & a has odd parity (see
+    `walsh._walsh_columns`).  The accumulator is gathered once at the end.
     """
-    resolution = stacked.shape[0].bit_length() - 1
-    owners = np.asarray(owners)
+    n = stacked.shape[0]
+    resolution = n.bit_length() - 1
+    _check_resolved(anchors, resolution, "n")
+    anchors, owners = np.asarray(anchors, dtype=np.intp), np.asarray(owners)
     trials = int(owners[-1]) + 1 if owners.size else 1
-    acc = np.zeros((stacked.shape[0], trials, *stacked.shape[2:]))
+    acc = np.zeros((n, trials, *stacked.shape[2:]))
     # rank of each column among the columns of its trial
     ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
+    rows = np.arange(n)[:, None]
     for sl in column_chunks(len(anchors), stacked[:, 0].size):
         ranges = _level_ranges(levels[sl], resolution)
-        w = _walsh_columns(anchors[sl], resolution)
+        odd = np.bitwise_count(rows & anchors[sl])
+        odd &= 1
+        w = np.where(odd, -1.0, 1.0)
         (blocks,) = project_columns(stacked[:, sl], [ranges])
         blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
         for rank in np.unique(ranks[sl]).tolist():
             cols = np.flatnonzero(ranks[sl] == rank)
             acc[:, owners[sl][cols]] += blocks[:, cols]
-    return acc
+    return acc[bit_reversal(resolution)]
 
 
 def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunction:

@@ -23,14 +23,18 @@ Conventions baked in here:
 * Every synthesis runs one private helper on a buffer its caller owns,
   pruned to the hull [lo, hi) of the kept coefficients: a block of 4h rows
   that misses the hull is +0.0 and stays +0.0, so each fused pass skips it,
-  bitwise.  ``synthesize_values`` passes the full range.
+  bitwise.  The helper leaves the cells in bit-reversed order, and each
+  caller gathers once, after its last pointwise step: ``synthesize_values``
+  (full range) and the forward block sums at once, a fold of many
+  projections after it has added them.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing
   axes (axis 0 = cells).  `column_chunks` caps such a stack at
   COLUMN_BUDGET cells and `project_columns` runs analyze -> keep index
-  ranges -> synthesize over the hull of the kept ranges on it; every
-  column comes out bitwise as if transformed alone.
+  ranges -> synthesize over the hull of the kept ranges on it, yielding
+  cells in bit-reversed order; every column comes out bitwise as if
+  transformed alone.
 """
 
 from __future__ import annotations
@@ -247,16 +251,17 @@ def analyze_values(values: np.ndarray) -> np.ndarray:
 
 def _synthesize_owned(kept: np.ndarray, start: int, stop: int) -> np.ndarray:
     """`synthesize_values` of a C-contiguous float buffer that is +0.0 outside
-    rows [start, stop); the buffer is overwritten."""
-    _butterfly(kept, start, stop)
-    return kept[bit_reversal(kept.shape[0].bit_length() - 1)]
+    rows [start, stop), in bit-reversed cell order: row j holds cell
+    bit_reversal(N)[j].  The buffer is overwritten and returned."""
+    return _butterfly(kept, start, stop)
 
 
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
     """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
     a = np.array(coeffs, dtype=float, order="C")
-    _check_length(a.shape[0])
-    return _synthesize_owned(a, 0, a.shape[0])
+    n = a.shape[0]
+    _check_length(n)
+    return _synthesize_owned(a, 0, n)[bit_reversal(n.bit_length() - 1)]
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:
@@ -298,6 +303,11 @@ def project_columns(
     synthesized over the hull of its ranges and yielded, in order, so
     callers can reduce them one at a time.  An empty selection gives the
     all-zero projection.  Keep `values` within the `column_chunks` budget.
+
+    Each projection comes out with its cells in bit-reversed order (row j
+    holds cell bit_reversal(N)[j]), as the butterfly leaves them.  Pointwise
+    steps commute with that permutation, so a caller folds projections in
+    this order and gathers the result once with `bit_reversal(N)`.
     """
     coeffs = analyze_values(values)
     for ranges in selections:

@@ -678,6 +678,33 @@ def test_nan_table_value_fails_the_basis_sweep(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("resolution", range(13))
+def test_scalar_probes_are_bitwise_the_walsh_products(resolution):
+    # each probe built from sampled Walsh functions, one factor at a time
+    n = 1 << resolution
+    w = lambda m: walsh_eval(m, resolution).values
+    blocks = [IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]
+    mid = (1 << (resolution - 1)) + 1 if resolution >= 2 else n - 1
+    expected = [("walsh-covered", w(mid), blocks)]
+    if resolution >= 3:
+        low_blocks = [delta_block(k) for k in (1, 2, 3)]
+        for c in (1.0, 1.272, 2.0):
+            expected.append((f"cascade-{c}", w(1) + w(2) + c * (w(4) - w(7)), low_blocks))
+    spike = np.zeros(n)
+    spike[0] = float(n)
+    expected.append(("spike", spike, blocks))
+    riesz = np.ones(n)
+    for k in range(1, resolution + 1):
+        riesz = riesz * (1.0 + 0.9 * w(1 << (k - 1)))
+    expected.append(("riesz-0.9", riesz, blocks))
+    probes = _scalar_probes(resolution)
+    assert [case for case, _, _ in probes] == [case for case, _, _ in expected]
+    for (case, vals, intervals), (_, want, want_intervals) in zip(probes, expected):
+        assert vals.dtype == want.dtype and vals.shape == want.shape, case
+        assert vals.tobytes() == want.tobytes(), case
+        assert intervals == want_intervals, case
+
+
 @pytest.mark.parametrize("resolution", [14, 15, 16])
 def test_scalar_probes_hold_at_large_resolution(resolution):
     probes = _scalar_probes(resolution)

@@ -9,6 +9,10 @@
 * Pruned synthesis: a buffer that is +0.0 outside the hull [lo, hi) of its
   kept rows synthesizes to the same bytes when the butterfly skips the
   blocks that miss the hull.
+* Bit-reversed cells: the private synthesis leaves cells in bit-reversed
+  order, and the folds over many projections gather once at the end.  The
+  square fold and the block-sum adjoint are pinned against references that
+  gather every projection first.
 
 Bytes are compared with `tobytes()`, because `np.array_equal` treats -0.0
 and +0.0 as equal.
@@ -18,19 +22,21 @@ import numpy as np
 import pytest
 
 from walshlab import walsh
-from walshlab.dyadic import delta_block
+from walshlab.dyadic import IntInterval, delta_block
 from walshlab.experiments import (
+    _sq_sum_of_projections,
     random_function,
     random_interval_family,
     random_lattice_function,
 )
 from walshlab.intervals import family_decompose
-from walshlab.operators import _block_sum_chunks
+from walshlab.operators import _block_sum_chunks, _block_sums_adjoint
 from walshlab.walsh import (
     _synthesize_owned,
     _walsh_columns,
     analyze_values,
     bit_reversal,
+    column_chunks,
     fwht,
     project_columns,
     synthesize_values,
@@ -119,6 +125,8 @@ def test_forward_engine_matches_modulating_reference(
         w = w.reshape(w.shape + (1,) * (values.ndim - 2))
         ranges = [[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels[sl]]
         (reference,) = project_columns(w * values[:, owners[sl]], [ranges])
+        # project_columns leaves cells bit-reversed; the forward engine gathers them
+        reference = reference[bit_reversal(resolution)]
         assert sums.shape == reference.shape
         assert sums.tobytes() == reference.tobytes(), sl
         seen += sl.stop - sl.start
@@ -143,10 +151,10 @@ def test_pruned_synthesis_is_bitwise_full_synthesis(resolution, trailing):
         if hi > lo:
             kept[lo:hi] = rng.standard_normal((hi - lo, *trailing))
             kept[lo] = -0.0  # signed zeros inside the hull must survive
-        full = fwht(kept)[bit_reversal(resolution)]
+        full = fwht(kept)  # cells in bit-reversed order, as the helper leaves them
         pruned = _synthesize_owned(kept.copy(), lo, hi)
         assert pruned.tobytes() == full.tobytes(), (lo, hi)
-        assert synthesize_values(kept).tobytes() == full.tobytes()
+        assert synthesize_values(kept).tobytes() == full[bit_reversal(resolution)].tobytes()
     # an empty hull gives the all-(+0.0) synthesis
     empty = _synthesize_owned(np.zeros((n, *trailing)), n, 0)
     assert empty.tobytes() == np.zeros((n, *trailing)).tobytes()
@@ -166,7 +174,87 @@ def test_project_columns_is_bitwise_unpruned(resolution):
         for t, column in enumerate(selection):
             for lo, hi in column:
                 kept[lo:hi, t] = coeffs[lo:hi, t]
-        assert projection.tobytes() == fwht(kept)[bit_reversal(resolution)].tobytes(), selection
+        assert projection.tobytes() == fwht(kept).tobytes(), selection
     # an empty selection gives the all-(+0.0) projection
     (empty,) = project_columns(values, [[[], []]])
     assert empty.tobytes() == np.zeros_like(values).tobytes()
+
+
+def _natural_sq_sum(values, families):
+    """Sum over s of synthesize_values(kept_s) ** 2, kept_s holding each
+    column's s-th interval: the fold with every projection gathered."""
+    coeffs = analyze_values(values)
+    acc = np.zeros(values.shape)
+    for s in range(max(map(len, families), default=0)):
+        kept = np.zeros_like(coeffs)
+        for t, family in enumerate(families):
+            if s < len(family):
+                lo, hi = family[s].lo, family[s].hi
+                kept[lo:hi, t] = coeffs[lo:hi, t]
+        acc += synthesize_values(kept) ** 2
+    return acc
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3, 8, 9])
+def test_sq_sum_of_projections_is_bitwise_natural_order_fold(resolution, trials):
+    n = 1 << resolution
+    rng = np.random.default_rng([resolution, trials])
+    count = min(3, (n + 1) // 2)
+    values = np.stack(
+        [draw(resolution, None, "gaussian-cells", [3, resolution, t]) for t in range(trials)],
+        axis=1,
+    )
+    families = [random_interval_family(rng, resolution, count, "random")]
+    if trials == 3:
+        # an all -0.0 column has coefficient 0 equal to -0.0, kept inside the
+        # hull of its one interval; the third column keeps nothing
+        values[:, 1] = -0.0
+        families += [[IntInterval(0, max(1, n // 2))], []]
+        assert np.signbit(analyze_values(values)[0, 1])
+    got = _sq_sum_of_projections(values, families)
+    assert got.tobytes() == _natural_sq_sum(values, families).tobytes()
+    # one function on its own runs the same fold
+    single = _sq_sum_of_projections(values[:, 0], families[0])
+    assert single.tobytes() == _natural_sq_sum(values[:, :1], families[:1])[:, 0].tobytes()
+
+
+def _adjoint_reference(stacked, anchors, levels, owners):
+    """The block-sum adjoint with every projection gathered to cell order
+    first, then multiplied by the anchors' Walsh columns."""
+    resolution = stacked.shape[0].bit_length() - 1
+    trials = int(owners[-1]) + 1
+    acc = np.zeros((stacked.shape[0], trials, *stacked.shape[2:]))
+    ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
+    for sl in column_chunks(len(anchors), stacked[:, 0].size):
+        ranges = [[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels[sl]]
+        w = _walsh_columns(anchors[sl], resolution)
+        (blocks,) = project_columns(stacked[:, sl], [ranges])
+        blocks = blocks[bit_reversal(resolution)]
+        blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
+        for rank in np.unique(ranks[sl]).tolist():
+            cols = np.flatnonzero(ranks[sl] == rank)
+            acc[:, owners[sl][cols]] += blocks[:, cols]
+    return acc
+
+
+@pytest.mark.parametrize("segment", [False, True])
+@pytest.mark.parametrize("dim", [None, 3])
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_adjoint_engine_matches_gathered_reference(
+    monkeypatch, policy, resolution, dim, segment
+):
+    column_cells = (1 << resolution) * (dim or 1)
+    monkeypatch.setattr(walsh, "COLUMN_BUDGET", 3 * column_cells)
+    _, decs, owners = _stack_and_families(resolution, dim, policy, trials=3)
+    stacked = np.stack(
+        [draw(resolution, dim, policy, [11, resolution, c]) for c in range(len(decs))], axis=1
+    )
+    stacked[0, 0] = -0.0
+    anchors = [d.anchor for d in decs]
+    levels = [((0,) if segment else ()) + d.left_levels for d in decs]
+    got = _block_sums_adjoint(stacked, anchors, levels, owners)
+    reference = _adjoint_reference(stacked, anchors, levels, owners)
+    assert got.shape == reference.shape
+    assert got.tobytes() == reference.tobytes()
