@@ -16,17 +16,21 @@ constants, which are emitted with max / mean / 99th percentile and never
 asserted to a specific value.
 
 Every campaign runner works on budgeted chunks of trials (`column_chunks`):
-each trial still draws from its own generators, and the chunk's functions
-are stacked along trailing axes (axis 0 = cells) and transformed, reduced
-and normed together.  A config whose trial would hold more than
+each trial still draws from its own generators, straight into the chunk's
+stacks (`_draw_cells`), whose trailing axes (axis 0 = cells) carry the
+trials, and the chunk is transformed, reduced and normed together.
+Neither the runners nor the basis sweep build a grid wrapper
+(`DyadicFunction`, `SeqFunction`, `LatticeFunction`).  A config whose trial would hold more than
 `_MAX_TRIAL_FLOATS` floats at a time is refused before any draw.  `pointwise` stacks
 the block sums of a chunk as (cells, S, T) for the stack kernels of
 `operators`; `lemma` draws into an (S, cells, d, T) stack and hands the
-kernels cells-first views of it.  `adjoint` stacks f as (cells, T, d) and the
+kernels cells-first views of it.  `vector` keeps its projections as
+(S, cells, T, d).  `adjoint` stacks f as (cells, T, d) and the
 components as (cells, T*S, d) for the owner-aware segment transform pair.
 `weak11` stacks its components as (cells, T, S, d) and their bad parts at
-every height as (cells, T, S, H, d); its Rademacher leaf norms stay per
-trial, each with its own sign seed [seed, t, 3].
+every height as (cells, T, S, H, d).  The Rademacher norms of `vector` and
+`weak11` (`lattice.rad_norm_stack`) run per trial on views of these
+stacks, each trial with its own sign seed [seed, t, 2] or [seed, t, 3].
 
 The ratio campaigns for p > 2 open with a fixed block of deterministic
 adversarial probes (a covered Walsh function, anticorrelated cascade
@@ -64,14 +68,11 @@ from .lattice import (
     cells_mask,
     cz_decompose,
     lattice_norm,
-    lp_radx_norm,
-    lp_x_norm,
-    rad_norm_values,
+    rad_norm_stack,
     root_means,
     verify_cz,
 )
 from .operators import (
-    SeqFunction,
     _square_sum,
     block_sum,
     block_sum_family,
@@ -85,6 +86,7 @@ from .operators import (
 from .walsh import (
     DyadicCell,
     DyadicFunction,
+    _walsh_columns,
     bit_reversal,
     column_chunks,
     mart_diff,
@@ -500,7 +502,7 @@ def _scalar_probes(resolution: int) -> list[tuple[str, np.ndarray, list[IntInter
     """Deterministic adversarial cases anchoring the ratio maximum."""
     n = 1 << resolution
     blocks = [IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]
-    w = lambda m: walsh_eval(m, resolution).values
+    w = lambda m: _walsh_columns([m], resolution)[:, 0]
     cases: list[tuple[str, np.ndarray, list[IntInterval]]] = []
     mid = (1 << (resolution - 1)) + 1 if resolution >= 2 else n - 1
     cases.append(("walsh-covered", w(mid), blocks))
@@ -571,14 +573,15 @@ def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, probes) -> list[dict]:
     streams 0 and 1) into one row of a trial-major array; the transforms then
     run on the whole chunk.
     """
-    rows = np.empty((len(ts), 1 << cfg.resolution))  # trial-major for the means
+    n = 1 << cfg.resolution
+    rows = np.empty((len(ts), n))  # trial-major for the means
     cases, families = [], []
     for k, t in enumerate(ts):
         if t < len(probes):
             case, rows[k], intervals = probes[t]
         else:
             case = cfg.policy
-            rows[k] = random_function(next(rngs), cfg.resolution, cfg.policy).values
+            rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
             intervals = _family(cfg, next(rngs))
         cases.append(case)
         families.append(intervals)
@@ -618,10 +621,11 @@ def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     trial form one (cells, S, T) stack, and the sharp and rms maximal
     functions run on the whole chunk.
     """
-    values = np.empty((1 << cfg.resolution, len(ts)))
+    n = 1 << cfg.resolution
+    values = np.empty((n, len(ts)))
     families = []
     for k in range(len(ts)):
-        values[:, k] = random_function(next(rngs), cfg.resolution, cfg.policy).values
+        values[:, k] = _draw_cells(next(rngs), (n,), cfg.policy)
         families.append(family_decompose(_family(cfg, next(rngs))))
     sharp = sharp_maximal_stack(block_sum_stack(values, families))  # (cells, T)
     m2 = rms_maximal_stack(values)
@@ -654,34 +658,32 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
 
 def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     """Trial records of one budgeted chunk of vector trials, each trial drawn
-    from the next two generators of `rngs` (its streams 0 and 1)."""
-    fs, families = [], []
-    for _ in ts:
-        fs.append(
-            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-        )
+    from the next two generators of `rngs` (its streams 0 and 1); the
+    projections of the chunk fill one (S, cells, T, d) stack in cell order."""
+    n, T = 1 << cfg.resolution, len(ts)
+    values = np.empty((n, T, cfg.dim))
+    families = []
+    for k in range(T):
+        values[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
         families.append(_family(cfg, next(rngs)))
-    values = np.stack([f.values for f in fs], axis=1)  # (cells, T, d)
-    comps = [[] for _ in ts]
-    sq = np.zeros(values.shape[:2])  # scalar square function at d = 1
+    comps = np.empty((cfg.count, n, T, cfg.dim))
     rev = bit_reversal(cfg.resolution)
     for s, proj in enumerate(_interval_projections(values, families)):
-        proj = proj[rev]
-        for k, family in enumerate(families):
-            if s < len(family):
-                comps[k].append(LatticeFunction(cfg.resolution, proj[:, k], cfg.q))
-        if cfg.dim == 1:
-            sq += np.square(proj[:, :, 0])
-    if cfg.dim == 1:
+        np.take(proj, rev, axis=0, out=comps[s])
+    cell_norms = np.empty((T, n))
+    for k, t in enumerate(ts):
+        cell_norms[k] = rad_norm_stack(comps[:, :, k], cfg.q, cfg.p, cfg.rad, [cfg.seed, t, 2])
+    lhs = root_means(cell_norms, cfg.p, cfg.p).tolist()
+    rhs = _lp_x_rows(values.swapaxes(0, 1), cfg)
+    if cfg.dim == 1:  # the scalar square function of the same projections
+        sq = _square_sum(comps[..., 0].swapaxes(0, 1))  # (cells, T)
         scalars = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
     records = []
     for k, t in enumerate(ts):
-        lhs = lp_radx_norm(comps[k], cfg.p, cfg.rad, seed=[cfg.seed, t, 2])
-        rhs = lp_x_norm(fs[k], cfg.p)
-        rec = {"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
+        rec = {"trial": t, "lhs": lhs[k], "rhs": rhs[k], "ratio": _ratio(lhs[k], rhs[k])}
         if cfg.dim == 1:
             rec["scalar_lhs"] = scalars[k]
-            rec["rad_over_scalar"] = _ratio(lhs, scalars[k])
+            rec["rad_over_scalar"] = _ratio(lhs[k], scalars[k])
         records.append(rec)
     return records
 
@@ -705,11 +707,9 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check], regime=_regime(cfg.p))
 
 
-def _lp_x_rows(values: np.ndarray, cfg: ExperimentConfig) -> list[float]:
-    """L^p norm of the pointwise l^q norm of every trial in a stack that
-    reshapes to (cells, d, T)."""
-    cells = values.reshape(1 << cfg.resolution, cfg.dim, -1)
-    rows = np.ascontiguousarray(cells.transpose(2, 0, 1))  # (T, cells, d)
+def _lp_x_rows(rows: np.ndarray, cfg: ExperimentConfig) -> list[float]:
+    """L^p norm of the pointwise l^q norm of every trial of a (T, cells, d)
+    stack, in any memory layout."""
     return root_means(lattice_norm(rows, cfg.q), cfg.p, cfg.p).tolist()
 
 
@@ -726,18 +726,18 @@ def _lemma_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     stack = np.empty((S, n, cfg.dim, len(ts)))
     for k in range(len(ts)):
         for s in range(S):
-            values = random_lattice_function(
-                next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-            ).values
+            values = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
             if cfg.mean_zero:
                 values = values - values.mean(axis=0)
             stack[s, :, :, k] = values
     # the kernels read cells-first views; the norm takes the n*d entries as cells
     sq = square_function_stack(stack.reshape(S, n, -1).swapaxes(0, 1))
     norm = np.sqrt(_square_sum(stack.reshape(S, n * cfg.dim, -1).swapaxes(0, 1)))
+    lhs = _lp_x_rows(sq.reshape(n, cfg.dim, -1).transpose(2, 0, 1), cfg)
+    rhs = _lp_x_rows(norm.reshape(n, cfg.dim, -1).transpose(2, 0, 1), cfg)
     return [
-        {"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
-        for t, lhs, rhs in zip(ts, _lp_x_rows(sq, cfg), _lp_x_rows(norm, cfg))
+        {"trial": t, "lhs": left, "rhs": right, "ratio": _ratio(left, right)}
+        for t, left, right in zip(ts, lhs, rhs)
     ]
 
 
@@ -778,12 +778,11 @@ def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     decs = []
     for k, t in enumerate(ts):
         decs += family_decompose(_family(cfg, next(rngs)))
-        gs = [
-            random_lattice_function(next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy)
-            for _ in range(S)
-        ]
-        values[:, k] = np.stack([g.values for g in gs], axis=1)
-        leaves[k] = rad_norm_values(gs, 2.0, cfg.rad, seed=[cfg.seed, t, 3])
+        for s in range(S):
+            values[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
+        leaves[k] = rad_norm_stack(
+            values[:, k].swapaxes(0, 1), cfg.q, 2.0, cfg.rad, [cfg.seed, t, 3]
+        )
     owners = np.repeat(np.arange(T), S)
     columns = values.reshape(n, T * S, cfg.dim)
     out_norms = lattice_norm(_adjoint_of_stack(columns, decs, owners), cfg.q)  # (cells, T)
@@ -849,19 +848,14 @@ def _adjointness_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     chunk; both pairings are taken per trial row.
     """
     n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
-
-    def draw():
-        return random_lattice_function(
-            next(rngs), cfg.resolution, cfg.dim, cfg.q, cfg.policy
-        ).values
-
     f = np.empty((n, T, cfg.dim))
     gs = np.empty((n, T, S, cfg.dim))
     decs = []
     for k in range(T):
-        f[:, k] = draw()
+        f[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
         decs += family_decompose(_family(cfg, next(rngs)))
-        gs[:, k] = np.stack([draw() for _ in range(S)], axis=1)
+        for s in range(S):
+            gs[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
     owners = np.repeat(np.arange(T), S)
     tstar = _adjoint_of_stack(gs.reshape(n, T * S, cfg.dim), decs, owners)  # (cells, T, d)
     tf = _segment_columns(f, decs, owners).reshape(n, T, S, cfg.dim)
@@ -1149,14 +1143,10 @@ def exhaustive_pointwise_basis_check(
         kept = np.isin(bit_length[m], decompose(a, b).left_levels)
         capture[i, kept] = m[kept]
 
-    # single-input tables through the real operators
+    basis = _walsh_columns(range(n), resolution)
     sharp_tab = np.zeros(n + 1)  # index m+1; slot 0 is the zero function
-    for m in range(n):
-        g = SeqFunction.from_components([walsh_eval(m, resolution)])
-        sharp_tab[m + 1] = float(sharp_maximal(g).values.max())
-    m2_tab = np.array(
-        [float(rms_maximal(walsh_eval(nn, resolution)).values.min()) for nn in range(n)]
-    )
+    sharp_tab[1:] = sharp_maximal_stack(basis[:, None]).max(axis=0)
+    m2_tab = rms_maximal_stack(basis).min(axis=0)
     if float(np.abs(m2_tab - 1.0).max()) != 0.0:
         raise RuntimeError("rms maximal function of a Walsh function is not exactly 1")
 
@@ -1244,9 +1234,9 @@ def exhaustive_pointwise_basis_check(
     for fam in sampled:
         decs = family_decompose([IntInterval(int(lo[i]), int(hi[i])) for i in fam])
         nn = int(rng.integers(0, n))
-        f = walsh_eval(nn, resolution)
-        sharp = sharp_maximal(block_sum_family(f, decs)).values
-        m2 = rms_maximal(f).values
+        f = _walsh_columns([nn], resolution)
+        sharp = sharp_maximal_stack(block_sum_stack(f, [decs]))
+        m2 = rms_maximal_stack(f)
         spot_excess.append(float((sharp - m2).max()))
         table_value = sharp_tab[capture[list(fam), nn].max() + 1]
         if not abs(float(sharp.max()) - table_value) <= 1e-12:

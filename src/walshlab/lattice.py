@@ -8,7 +8,8 @@ array of cell values.  On top of that this module provides
   Rademacher sum (exact sign enumeration up to 20 components, seeded Monte
   Carlo beyond).  Exact sign sums are built by doubling, and every lattice
   norm adds its coordinates in the order of numpy's sum along a contiguous
-  axis, whatever the memory layout;
+  axis, whatever the memory layout.  The Rademacher norm is one kernel on
+  an (S, cells, d) stack in any layout (`rad_norm_stack`);
 * the segment transform pair: component s of the forward map is the sum of
   martingale differences of w_{a_s} * f over the anchor level 0 and the
   left-piece levels of interval s, so that modulating back by w_{a_s}
@@ -329,13 +330,9 @@ def _stacked(components: Sequence[LatticeFunction]) -> np.ndarray:
     return np.stack([g.values for g in components])  # (S, cells, d)
 
 
-def rad_norm_values(
-    components: Sequence[LatticeFunction],
-    p: float,
-    mode: str = "exact",
-    seed=None,
-) -> np.ndarray:
-    """Per-cell L^p Rademacher-average norms of a component family.
+def rad_norm_stack(stacked: np.ndarray, q: float, p: float, mode: str, seed) -> np.ndarray:
+    """Per-cell L^p Rademacher-average l^q norms of an (S, cells, d) stack of
+    components, in any memory layout; the kernel of `rad_norm_values`.
 
     Sign enumeration is chunked so exact mode stays memory-safe up to the
     component limit.  A block of sign rows is summed into a coordinate-major
@@ -351,12 +348,8 @@ def rad_norm_values(
     A cell whose mean of powers overflows, or falls below the smallest normal
     float while its components are not all zero, is redone over the same sign
     rows as M * mean((norm / M) ** p) ** (1/p), with M its largest norm; every
-    other cell keeps its bits.
+    other cell keeps its bits.  `q` and `p` are taken as checked.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
-    stacked = _stacked(components)
-    q = components[0].q
     if seed is None and _mc_samples(mode) is not None:
         seed = np.random.SeedSequence().entropy  # one sample for every pass
 
@@ -415,6 +408,19 @@ def rad_norm_values(
         keep = (0 < top) & (top < np.inf)  # a Monte Carlo sample can cancel every sum
         out[redo[keep]] = top[keep] * mean_powers(part[:, keep], top[keep]) ** (1.0 / p)
     return out
+
+
+def rad_norm_values(
+    components: Sequence[LatticeFunction],
+    p: float,
+    mode: str = "exact",
+    seed=None,
+) -> np.ndarray:
+    """Per-cell L^p Rademacher-average norms of a component family: `p` and
+    the components are checked, then stacked for `rad_norm_stack`."""
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
+    return rad_norm_stack(_stacked(components), components[0].q, p, mode, seed)
 
 
 def lp_radx_norm(

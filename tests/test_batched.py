@@ -14,7 +14,6 @@ families as budgeted arrays, is compared in the same way with a
 one-family-at-a-time depth-first recursion, spot-checked families included.
 """
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -496,36 +495,35 @@ def test_lemma_matches_per_trial(budget, resolution, dim, p, q, components, mean
     _same_report(cfg, reference_lemma)
 
 
+# each id also names the public front that draws a trial's cells as `_draw_cells` does
 @pytest.mark.parametrize(
-    "kind, generator",
+    "kind",
     [
-        ("pointwise", "random_function"),
-        ("lemma", "random_lattice_function"),
-        ("weak11", "random_lattice_function"),
-        ("adjoint", "random_lattice_function"),
+        pytest.param("pointwise", id="pointwise-random_function"),
+        pytest.param("lemma", id="lemma-random_lattice_function"),
+        pytest.param("weak11", id="weak11-random_lattice_function"),
+        pytest.param("adjoint", id="adjoint-random_lattice_function"),
     ],
 )
-def test_nan_trial_stays_in_its_column(monkeypatch, kind, generator):
+def test_nan_trial_stays_in_its_column(monkeypatch, kind):
     # a chunk holds trial 7 and at least six more; a NaN drawn for trial 7
     # must fail the run and leave every other trial's record as it is
     # without the NaN
     cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3)
     clean = ex.RUNNERS[kind](cfg).trials
-    real = getattr(ex, generator)
+    real = ex._draw_cells
     draws = {"pointwise": 1, "lemma": cfg.components, "weak11": cfg.count}
     first_of_trial_7 = 7 * draws.get(kind, 1 + cfg.count)  # adjoint: f, then the g's
     calls = []
 
     def poisoned(rng, *args):
-        out = real(rng, *args)
+        values = real(rng, *args)
         calls.append(len(calls))
-        if calls[-1] != first_of_trial_7:
-            return out
-        values = out.values.copy()
-        values[0] = np.nan
-        return dataclasses.replace(out, values=values)
+        if calls[-1] == first_of_trial_7:
+            values[0] = np.nan
+        return values
 
-    monkeypatch.setattr(ex, generator, poisoned)
+    monkeypatch.setattr(ex, "_draw_cells", poisoned)
     report = ex.RUNNERS[kind](cfg)
     assert not report.passed
     for before, after in zip(clean, report.trials):
@@ -533,6 +531,29 @@ def test_nan_trial_stays_in_its_column(monkeypatch, kind, generator):
             assert any(math.isnan(v) for v in after.values())
         else:
             assert after == before
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf])
+@pytest.mark.parametrize("dim", [1, 3, 9])
+def test_lp_x_rows_match_per_trial_lp_x_norm(dim, q):
+    # from p = 2 on trial 1 overflows its mean of p-th powers and trial 2
+    # underflows it, so both are redone; trial 3 is zero, and one cell of
+    # trial 4 overflows its q-th powers from q = 2 on
+    resolution, trials = 4, 6
+    values = np.random.default_rng(dim).standard_normal((1 << resolution, trials, dim))
+    values[:, 1] *= 1e300
+    values[:, 2] *= 1e-300
+    values[:, 3] = 0.0
+    values[5, 4] *= 1e300
+    # the (T, cells, d) views of the (cells, T, d) stack of `vector` and of
+    # the (cells, d, T) stack of `lemma`
+    lemma = np.ascontiguousarray(values.transpose(0, 2, 1))
+    for p in (1.0, 2.0, 4.0):
+        cfg = ExperimentConfig(kind="vector", resolution=resolution, dim=dim, q=q, p=p)
+        want = [lp_x_norm(LatticeFunction(resolution, values[:, t], q), p) for t in range(trials)]
+        for rows in (values.swapaxes(0, 1), lemma.transpose(2, 0, 1)):
+            got = ex._lp_x_rows(rows, cfg)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), p
 
 
 def test_pointwise_chunk_memory_stays_within_16_grids():

@@ -36,7 +36,8 @@ from walshlab.experiments import (
     exhaustive_pointwise_basis_check,
 )
 from walshlab.intervals import family_decompose
-from walshlab.operators import block_sum_family, rms_maximal, sharp_maximal
+from walshlab.lattice import LatticeFunction
+from walshlab.operators import SeqFunction, block_sum_family, rms_maximal, sharp_maximal
 from walshlab.walsh import DyadicFunction, analyze_values, walsh_eval
 
 
@@ -571,11 +572,11 @@ def test_weak11_cap_counts_the_heights_held_at_once(monkeypatch):
     assert chunks == [range(0, 1), range(1, 2)]
 
 
-def _poison(generator, seed, trial):
-    """Wrap a seeded generator so that one trial's first cell value is NaN.
+def _poison(draw, seed, trial):
+    """Wrap the cell draw so that one trial's first cell value is NaN.
 
     The runners pass a generator re-targeted to each key (seed, t, stream);
-    a call belongs to the trial when the generator starts in the state of one
+    a draw belongs to the trial when the generator starts in the state of one
     of that trial's keys.
     """
     starts = {
@@ -584,23 +585,21 @@ def _poison(generator, seed, trial):
 
     def poisoned(rng, *args):
         hit = rng.bit_generator.state["state"]["state"] in starts
-        out = generator(rng, *args)
-        if not hit:
-            return out
-        values = out.values.copy()
-        values[0] = np.nan
-        return dataclasses.replace(out, values=values)
+        values = draw(rng, *args)
+        if hit:
+            values[0] = np.nan
+        return values
 
     return poisoned
 
 
 NAN_CASES = {
-    "scalar": (dict(p=4.0), "random_function"),
-    "pointwise": (dict(), "random_function"),
-    "vector": (dict(p=2.0, q=2.0, dim=2), "random_lattice_function"),
-    "lemma": (dict(p=2.0, q=2.0, dim=1), "random_lattice_function"),
-    "weak11": (dict(dim=2, count=3), "random_lattice_function"),
-    "adjoint": (dict(dim=2, count=3), "random_lattice_function"),
+    "scalar": dict(p=4.0),
+    "pointwise": dict(),
+    "vector": dict(p=2.0, q=2.0, dim=2),
+    "lemma": dict(p=2.0, q=2.0, dim=1),
+    "weak11": dict(dim=2, count=3),
+    "adjoint": dict(dim=2, count=3),
 }
 
 
@@ -608,13 +607,36 @@ NAN_CASES = {
 def test_one_nan_trial_fails_the_run(monkeypatch, kind):
     import walshlab.experiments as ex
 
-    extra, generator = NAN_CASES[kind]
-    monkeypatch.setattr(ex, generator, _poison(getattr(ex, generator), 3, 7))
-    cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3, **extra)
+    monkeypatch.setattr(ex, "_draw_cells", _poison(ex._draw_cells, 3, 7))
+    cfg = ExperimentConfig(kind=kind, resolution=5, trials=10, seed=3, **NAN_CASES[kind])
     report = ex.RUNNERS[kind](cfg)
     assert not report.passed
     assert report.summary["asserted"]
     assert all(not a["passed"] for a in report.summary["asserted"])
+
+
+@pytest.mark.parametrize(
+    "policy", ["gaussian-cells", "rademacher-cells", "sparse-spectrum:3"]
+)
+@pytest.mark.parametrize("kind", sorted(RUNNERS))
+def test_campaigns_build_no_grid_wrapper(monkeypatch, kind, policy):
+    # the runners work on chunk stacks of arrays: building any of the three
+    # grid-value wrappers raises while they run
+    def refuse(self):
+        raise AssertionError(f"a campaign built a {type(self).__name__}")
+
+    for wrapper in (DyadicFunction, SeqFunction, LatticeFunction):
+        monkeypatch.setattr(wrapper, "__post_init__", refuse)
+    # 8 trials at N = 4: the scalar run draws 2 after its 6 probes
+    cfg = ExperimentConfig(
+        kind=kind, resolution=4, trials=8, p=4.0, q=3.0, dim=2, count=3, components=3,
+        policy=policy,
+    )
+    for rad in ["exact"] if kind == "adjoint" else ["exact", "mc:40"]:
+        report = RUNNERS[kind](dataclasses.replace(cfg, rad=rad))
+        assert len(report.trials) == cfg.trials
+    report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
+    assert report["passed"] and report["spot_checks"] > 0
 
 
 def test_nan_lhs_alone_fails_scalar(monkeypatch):
@@ -651,20 +673,21 @@ def test_nan_denominator_stays_nan():
 def test_nan_table_value_fails_the_basis_sweep(monkeypatch):
     import walshlab.experiments as ex
 
-    real = ex.sharp_maximal
+    real = ex.sharp_maximal_stack
     poisoned_input = walsh_eval(5, 3).values
     poisoned = []
 
-    def sharp_maximal(g):
-        # the first call on this basis function builds its table entry; the
-        # spot checks through the pipeline stay finite
-        out = real(g)
-        if not poisoned and np.array_equal(g.values, [poisoned_input]):
+    def sharp_maximal_stack(stack):
+        # the first call builds the table from every basis function at once,
+        # one a column; poison the column of w_5.  The spot checks through
+        # the pipeline stay finite
+        out = real(stack)
+        if not poisoned and np.array_equal(stack[:, 0, 5], poisoned_input):
             poisoned.append(True)
-            return dataclasses.replace(out, values=np.full_like(out.values, np.nan))
+            out[:, 5] = np.nan
         return out
 
-    monkeypatch.setattr(ex, "sharp_maximal", sharp_maximal)
+    monkeypatch.setattr(ex, "sharp_maximal_stack", sharp_maximal_stack)
     try:
         report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
     except RuntimeError:

@@ -5,7 +5,8 @@ sign rows and mirror the rest; the references below enumerate every row,
 as the code did before, and the results must agree bit for bit.  S >= 13
 spans several 4,096-row chunks, and the pairing is run on grids that cut
 its rows into chunks too.  The norm is also run with chunks cut into row
-sub-blocks.
+sub-blocks.  Its kernel `rad_norm_stack` is run on the strided views of
+chunk stacks that the campaigns pass it, and must give the same bits.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from walshlab.lattice import (
     _mc_samples,
     _sign_averaged_pairing,
     _sign_chunks,
+    rad_norm_stack,
     rad_norm_values,
 )
 
@@ -47,6 +49,28 @@ def reference_rad_norm_values(components, p, mode="exact", seed=None):
         sums = np.einsum("ks,scd->kcd", chunk, stacked)
         acc += (reference_lattice_norm(sums, q) ** p).sum(axis=0)
     return (acc / signs.shape[0]) ** (1.0 / p)
+
+
+def runner_views(values):
+    """An (S, cells, d) stack as the campaigns pass it to `rad_norm_stack`:
+    one trial of a (cells, T, S, d) stack through `swapaxes` (`weak11`), and
+    a [:, :, k] slice of an (S, cells, T, d) stack (`vector`).  The other
+    trials are NaN, so a kernel that reads past its view cannot pass."""
+    count, cells, dim = values.shape
+    weak = np.full((cells, 3, count, dim), np.nan)
+    weak[:, 1] = values.swapaxes(0, 1)
+    vector = np.full((count, cells, 3, dim), np.nan)
+    vector[:, :, 1] = values
+    return weak[:, 1].swapaxes(0, 1), vector[:, :, 1]
+
+
+def assert_kernel_on_views(comps, p, mode="exact", seed=None):
+    """`rad_norm_stack` on each of the `runner_views` keeps the bits of
+    `rad_norm_values` on the components."""
+    want = rad_norm_values(comps, p, mode, seed)
+    for view in runner_views(np.stack([g.values for g in comps])):
+        got = rad_norm_stack(view, comps[0].q, p, mode, seed)
+        assert got.tobytes() == want.tobytes()
 
 
 def reference_pairing(tf, gs):
@@ -82,6 +106,7 @@ def test_rad_norm_values_mc_unchanged(samples):
     got = rad_norm_values(comps, 4.0, mode, seed=[3, samples, 2])
     want = reference_rad_norm_values(comps, 4.0, mode, seed=[3, samples, 2])
     assert got.tobytes() == want.tobytes()
+    assert_kernel_on_views(comps, 4.0, mode, seed=[3, samples, 2])
 
 
 @pytest.mark.parametrize("rows", [7, 1000, 4096])
@@ -137,6 +162,7 @@ def test_rad_norm_values_in_row_sub_blocks(monkeypatch, count, rows):
     monkeypatch.setattr(lattice, "_SIGN_SUM_BUDGET", rows * comps[0].values.size)
     got = rad_norm_values(comps, 4.0)
     assert got.tobytes() == reference_rad_norm_values(comps, 4.0).tobytes()
+    assert_kernel_on_views(comps, 4.0)
 
 
 def test_rad_norm_values_sub_blocks_at_the_default_budget():
@@ -284,6 +310,7 @@ def test_rad_norm_values_fold_coordinates_and_redo_cells(count, dim, q):
         got = rad_norm_values(comps, p)
         assert got.tobytes() == reference_rad_norm_values_with_redo(comps, p).tobytes()
         assert np.isfinite(got).all() and got[3] == 0.0 and got[1] > 1e299
+        assert_kernel_on_views(comps, p)
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc:300"])
@@ -300,3 +327,4 @@ def test_rad_norm_values_in_cell_blocks(monkeypatch, budget, dim, mode):
     got = rad_norm_values(comps, 4.0, mode, seed=[7, dim])
     want = reference_rad_norm_values(comps, 4.0, mode, seed=[7, dim])
     assert got.tobytes() == want.tobytes()
+    assert_kernel_on_views(comps, 4.0, mode, seed=[7, dim])
