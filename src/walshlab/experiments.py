@@ -20,11 +20,19 @@ each trial still draws from its own generators, straight into the chunk's
 stacks (`_draw_cells`), whose trailing axes (axis 0 = cells) carry the
 trials, and the chunk is transformed, reduced and normed together.
 Neither the runners nor the basis sweep build a grid wrapper
-(`DyadicFunction`, `SeqFunction`, `LatticeFunction`).  A config whose trial would hold more than
+(`DyadicFunction`, `SeqFunction`, `LatticeFunction`).  The runners hold a
+chunk's interval families as one (T, count, 2) int array of [lo, hi)
+rows, each trial's drawn by `_family_ends` from its stream-1 generator,
+and the block sums and segment transforms take their anchors and
+left-level bitmasks from those endpoints (`intervals.left_level_masks`):
+no `IntInterval` or `Decomposition` is built and `decompose` is not
+called.  `verify_identities` and the basis sweep stay on the verified
+route through `family_decompose`.  A config whose trial would hold more than
 `_MAX_TRIAL_FLOATS` floats at a time is refused before any draw.  `pointwise` stacks
 the block sums of a chunk as (cells, S, T) for the stack kernels of
-`operators`; `lemma` draws into an (S, cells, d, T) stack and hands the
-kernels cells-first views of it.  `vector` keeps its projections as
+`operators`; `lemma` draws into a (T, S, cells, d) buffer, removes the cell
+means of all its components with one mean, and hands the kernels
+cells-first views of an (S, cells, d, T) copy.  `vector` keeps its projections as
 (S, cells, T, d).  `adjoint` stacks f as (cells, T, d) and the
 components as (cells, T*S, d) for the owner-aware segment transform pair.
 `weak11` stacks its components as (cells, T, S, d) and their bad parts at
@@ -54,8 +62,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dyadic import IntInterval, delta_block
-from .intervals import decompose, family_decompose, verify_decomposition
+from .dyadic import IntInterval
+from .intervals import decompose, family_decompose, left_level_masks, verify_decomposition
 from .lattice import (
     LatticeFunction,
     _adjoint_of_stack,
@@ -73,6 +81,7 @@ from .lattice import (
     verify_cz,
 )
 from .operators import (
+    _family_arrays,
     _square_sum,
     block_sum,
     block_sum_family,
@@ -403,6 +412,26 @@ def _check_family_fits(resolution: int, count: int, policy: str) -> None:
         )
 
 
+def _family_ends(rng, resolution: int, count: int, policy: str) -> np.ndarray:
+    """The (count, 2) int array of [lo, hi) rows of one family drawn from
+    `rng`: sorted, pairwise disjoint and inside [0, 2**N].  The count must
+    fit the policy (`_check_family_fits`)."""
+    size = 1 << resolution
+    if policy == "random":
+        return np.sort(rng.choice(size + 1, size=2 * count, replace=False)).reshape(count, 2)
+    if policy == "singletons":
+        pts = np.sort(rng.choice(size, size=count, replace=False))
+        return np.stack((pts, pts + 1), axis=1)
+    if policy == "dyadic":
+        level = max(count - 1, 0).bit_length()
+        width = size >> level
+        pos = np.sort(rng.choice(1 << level, size=count, replace=False))
+        return np.stack((pos * width, (pos + 1) * width), axis=1)
+    # "misaligned", the one policy left after the capacity check
+    pts = np.sort(rng.choice(_misaligned_endpoints(resolution), 2 * count, replace=False))
+    return pts.reshape(count, 2)
+
+
 def random_interval_family(
     seed, resolution: int, count: int, policy: str = "random"
 ) -> list[IntInterval]:
@@ -411,24 +440,8 @@ def random_interval_family(
     if count < 1:
         raise ValueError("need at least one interval")
     _check_family_fits(resolution, count, policy)
-    rng = _rng(seed)
-    size = 1 << resolution
-    if policy == "random":
-        pts = np.sort(rng.choice(size + 1, size=2 * count, replace=False))
-        return [
-            IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)
-        ]
-    if policy == "singletons":
-        pts = np.sort(rng.choice(size, size=count, replace=False))
-        return [IntInterval(int(n), int(n) + 1) for n in pts]
-    if policy == "dyadic":
-        level = max(count - 1, 0).bit_length()
-        width = size >> level
-        pos = np.sort(rng.choice(1 << level, size=count, replace=False))
-        return [IntInterval(int(j) * width, (int(j) + 1) * width) for j in pos]
-    # "misaligned", the one policy left after the capacity check
-    pts = np.sort(rng.choice(_misaligned_endpoints(resolution), 2 * count, replace=False))
-    return [IntInterval(int(pts[2 * i]), int(pts[2 * i + 1])) for i in range(count)]
+    ends = _family_ends(_rng(seed), resolution, count, policy).tolist()
+    return [IntInterval(lo, hi) for lo, hi in ends]
 
 
 # ---------------------------------------------------------------------------
@@ -436,43 +449,35 @@ def random_interval_family(
 # ---------------------------------------------------------------------------
 
 
-def _family(cfg: ExperimentConfig, rng) -> list[IntInterval]:
-    """The interval family of one trial, drawn from its stream-1 generator."""
-    return random_interval_family(rng, cfg.resolution, cfg.count, cfg.family)
-
-
-def _interval_projections(values: np.ndarray, families):
+def _interval_projections(values: np.ndarray, ends: np.ndarray):
     """Project every column onto the s-th interval of its family, for s = 0, 1, ...
 
     `values` is a (cells, T, ...) stack holding one function per column t,
-    any further axes being lattice coordinates; `families` holds one
-    interval list per column.  A column whose list is shorter keeps nothing
-    past its end, i.e. gets an exact zero projection.  Yields one
-    projection of the whole stack per s, its cells in bit-reversed order
-    (see `project_columns`).
+    any further axes being lattice coordinates; `ends` is a (T, S, 2) int
+    array whose row ends[t, s] is the [lo, hi) of column t's s-th interval.
+    An empty row lo == hi keeps nothing, i.e. gives an exact zero
+    projection.  Yields one projection of the whole stack per s, its cells
+    in bit-reversed order (see `project_columns`).
     """
-    depth = max(map(len, families), default=0)
-    selections = (
-        [[(fam[s].lo, fam[s].hi)] if s < len(fam) else [] for fam in families]
-        for s in range(depth)
-    )
-    return project_columns(values, selections)
+    lo, hi = ends.transpose(2, 1, 0)  # (S, T) each
+    return project_columns(values, np.broadcast_to(np.arange(len(ends)), lo.shape), lo, hi)
 
 
-def _sq_sum_of_projections(values: np.ndarray, intervals) -> np.ndarray:
-    """Pointwise sum of squared spectral projections onto the intervals.
+def _sq_sum_of_projections(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Pointwise sum of squared spectral projections onto intervals.
 
-    `values` is one grid function with its interval list, or a (cells, T)
-    stack of functions with one interval list per column.  Squares are
-    added in interval order, one (cells, T) projection at a time, with the
-    cells in the bit-reversed order the projections come out in; the sum is
-    put back in cell order once, at the end.  Squaring and adding act cell
-    by cell, so the bits are those of folding natural-order projections.
+    `values` is one grid function with its (S, 2) int array of [lo, hi)
+    rows, or a (cells, T) stack of functions with a (T, S, 2) array, one
+    family per column.  Squares are added in interval order, one (cells, T)
+    projection at a time, with the cells in the bit-reversed order the
+    projections come out in; the sum is put back in cell order once, at the
+    end.  Squaring and adding act cell by cell, so the bits are those of
+    folding natural-order projections.
     """
     if values.ndim == 1:
-        return _sq_sum_of_projections(values[:, None], [intervals])[:, 0]
+        return _sq_sum_of_projections(values[:, None], ends[None])[:, 0]
     acc = np.zeros(values.shape)
-    for proj in _interval_projections(values, intervals):
+    for proj in _interval_projections(values, ends):
         acc += np.square(proj, out=proj)
         del proj  # free it before the next projection is made
     return acc[bit_reversal(values.shape[0].bit_length() - 1)]
@@ -498,16 +503,18 @@ def _worst(values, start: float = 0.0) -> float:
     return max([start, *values])
 
 
-def _scalar_probes(resolution: int) -> list[tuple[str, np.ndarray, list[IntInterval]]]:
-    """Deterministic adversarial cases anchoring the ratio maximum."""
+def _scalar_probes(resolution: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Deterministic adversarial cases anchoring the ratio maximum, each with
+    its family as an (S, 2) int array of [lo, hi) rows."""
     n = 1 << resolution
-    blocks = [IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]
+    hi = 1 << np.arange(resolution + 1)
+    blocks = np.stack((hi >> 1, hi), axis=1)  # delta_block(k), k = 0 .. N
     w = lambda m: _walsh_columns([m], resolution)[:, 0]
-    cases: list[tuple[str, np.ndarray, list[IntInterval]]] = []
+    cases: list[tuple[str, np.ndarray, np.ndarray]] = []
     mid = (1 << (resolution - 1)) + 1 if resolution >= 2 else n - 1
     cases.append(("walsh-covered", w(mid), blocks))
     if resolution >= 3:
-        low_blocks = [delta_block(k) for k in (1, 2, 3)]
+        low_blocks = blocks[1:4]
         low, high = w(1) + w(2), w(4) - w(7)
         for c in (1.0, 1.272, 2.0):
             cases.append((f"cascade-{c}", low + c * high, low_blocks))
@@ -570,23 +577,27 @@ def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, probes) -> list[dict]:
     """Trial records of one budgeted chunk of scalar trials.
 
     Each random trial is drawn from the next two generators of `rngs` (its
-    streams 0 and 1) into one row of a trial-major array; the transforms then
-    run on the whole chunk.
+    streams 0 and 1) into one row of a trial-major array, and its family
+    into one (count, 2) slot of the chunk's endpoint array; a probe family
+    of another length is padded with empty rows.  The transforms then run
+    on the whole chunk.
     """
-    n = 1 << cfg.resolution
-    rows = np.empty((len(ts), n))  # trial-major for the means
-    cases, families = [], []
-    for k, t in enumerate(ts):
-        if t < len(probes):
-            case, rows[k], intervals = probes[t]
-        else:
-            case = cfg.policy
-            rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
-            intervals = _family(cfg, next(rngs))
-        cases.append(case)
-        families.append(intervals)
+    n, T = 1 << cfg.resolution, len(ts)
+    chunk_probes = probes[ts.start : ts.stop]
+    cases = [case for case, _, _ in chunk_probes] + [cfg.policy] * (T - len(chunk_probes))
+    lengths = [len(probe_ends) for _, _, probe_ends in chunk_probes]
+    if len(chunk_probes) < T:
+        lengths.append(cfg.count)
+    rows = np.empty((T, n))  # trial-major for the means
+    ends = np.zeros((T, max(lengths), 2), dtype=np.int64)
+    for k, (_, probe_values, probe_ends) in enumerate(chunk_probes):
+        rows[k] = probe_values
+        ends[k, : len(probe_ends)] = probe_ends
+    for k in range(len(chunk_probes), T):
+        rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
+        ends[k, : cfg.count] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
     rhs = root_means(np.abs(rows), cfg.p, cfg.p).tolist()
-    sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), families)
+    sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), ends)
     lhs = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
     return [
         {"trial": t, "case": case, "lhs": num, "rhs": den, "ratio": _ratio(num, den)}
@@ -617,17 +628,20 @@ def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     """Trial records of one budgeted chunk of pointwise trials.
 
     Each trial is drawn from the next two generators of `rngs` (its streams
-    0 and 1) into one column of a (cells, T) stack.  The block sums of every
-    trial form one (cells, S, T) stack, and the sharp and rms maximal
-    functions run on the whole chunk.
+    0 and 1) into one column of a (cells, T) stack and one (S, 2) slot of a
+    (T, S, 2) endpoint array.  The block sums of every trial, anchored at
+    the left ends over their left-level bitmasks, form one (cells, S, T)
+    stack, and the sharp and rms maximal functions run on the whole chunk.
     """
     n = 1 << cfg.resolution
     values = np.empty((n, len(ts)))
-    families = []
+    ends = np.empty((len(ts), cfg.count, 2), dtype=np.int64)
     for k in range(len(ts)):
         values[:, k] = _draw_cells(next(rngs), (n,), cfg.policy)
-        families.append(family_decompose(_family(cfg, next(rngs))))
-    sharp = sharp_maximal_stack(block_sum_stack(values, families))  # (cells, T)
+        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
+    lo, hi = ends[..., 0], ends[..., 1]
+    masks = left_level_masks(lo, hi)
+    sharp = sharp_maximal_stack(block_sum_stack(values, lo, masks))  # (cells, T)
     m2 = rms_maximal_stack(values)
     excess = (sharp - m2).max(axis=0)
     pos = m2 > 0
@@ -662,13 +676,13 @@ def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     projections of the chunk fill one (S, cells, T, d) stack in cell order."""
     n, T = 1 << cfg.resolution, len(ts)
     values = np.empty((n, T, cfg.dim))
-    families = []
+    ends = np.empty((T, cfg.count, 2), dtype=np.int64)
     for k in range(T):
         values[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
-        families.append(_family(cfg, next(rngs)))
+        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
     comps = np.empty((cfg.count, n, T, cfg.dim))
     rev = bit_reversal(cfg.resolution)
-    for s, proj in enumerate(_interval_projections(values, families)):
+    for s, proj in enumerate(_interval_projections(values, ends)):
         np.take(proj, rev, axis=0, out=comps[s])
     cell_norms = np.empty((T, n))
     for k, t in enumerate(ts):
@@ -717,24 +731,28 @@ def _lemma_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     """Trial records of one budgeted chunk of lemma trials.
 
     Trial t draws its components from the next cfg.components generators of
-    `rngs` into an (S, cells, d, T) stack; the square function then runs on
-    a cells-first view of the whole chunk at once.  Cell means are removed
-    per drawn component: at d = 1 numpy sums a lone component's cells
-    pairwise, which a mean over the stack would not.
+    `rngs` into a trial-major (T, S, cells, d) buffer, so each component's
+    (cells, d) draw is contiguous and one mean over the cell axis removes
+    every component's cell means with the bits of a mean of that draw
+    alone (at d = 1 numpy sums a contiguous run of cells pairwise).  The
+    chunk is then copied once into an (S, cells, d, T) stack, and the
+    square function runs on a cells-first view of it.
     """
-    n, S = 1 << cfg.resolution, cfg.components
-    stack = np.empty((S, n, cfg.dim, len(ts)))
-    for k in range(len(ts)):
+    n, S, d, T = 1 << cfg.resolution, cfg.components, cfg.dim, len(ts)
+    draws = np.empty((T, S, n, d))
+    for k in range(T):
         for s in range(S):
-            values = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
-            if cfg.mean_zero:
-                values = values - values.mean(axis=0)
-            stack[s, :, :, k] = values
+            draws[k, s] = _draw_cells(next(rngs), (n, d), cfg.policy)
+    if cfg.mean_zero:
+        draws -= draws.mean(axis=2, keepdims=True)
+    # trials innermost, where the kernels' elementwise steps run fastest
+    stack = np.ascontiguousarray(draws.transpose(1, 2, 3, 0))  # (S, cells, d, T)
+    del draws
     # the kernels read cells-first views; the norm takes the n*d entries as cells
     sq = square_function_stack(stack.reshape(S, n, -1).swapaxes(0, 1))
-    norm = np.sqrt(_square_sum(stack.reshape(S, n * cfg.dim, -1).swapaxes(0, 1)))
-    lhs = _lp_x_rows(sq.reshape(n, cfg.dim, -1).transpose(2, 0, 1), cfg)
-    rhs = _lp_x_rows(norm.reshape(n, cfg.dim, -1).transpose(2, 0, 1), cfg)
+    norm = np.sqrt(_square_sum(stack.reshape(S, n * d, -1).swapaxes(0, 1)))
+    lhs = _lp_x_rows(sq.reshape(n, d, -1).transpose(2, 0, 1), cfg)
+    rhs = _lp_x_rows(norm.reshape(n, d, -1).transpose(2, 0, 1), cfg)
     return [
         {"trial": t, "lhs": left, "rhs": right, "ratio": _ratio(left, right)}
         for t, left, right in zip(ts, lhs, rhs)
@@ -775,17 +793,19 @@ def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
     values = np.empty((n, T, S, cfg.dim))
     leaves = np.empty((T, n))
-    decs = []
+    ends = np.empty((T, S, 2), dtype=np.int64)
     for k, t in enumerate(ts):
-        decs += family_decompose(_family(cfg, next(rngs)))
+        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
         for s in range(S):
             values[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
         leaves[k] = rad_norm_stack(
             values[:, k].swapaxes(0, 1), cfg.q, 2.0, cfg.rad, [cfg.seed, t, 3]
         )
+    anchors, hi = ends.reshape(T * S, 2).T
+    levels = left_level_masks(anchors, hi)
     owners = np.repeat(np.arange(T), S)
     columns = values.reshape(n, T * S, cfg.dim)
-    out_norms = lattice_norm(_adjoint_of_stack(columns, decs, owners), cfg.q)  # (cells, T)
+    out_norms = lattice_norm(_adjoint_of_stack(columns, anchors, levels, owners), cfg.q)
     l1 = leaves.mean(axis=1)
     med = np.median(out_norms, axis=0)
     scale = np.where(med > 0, med, np.where(l1 > 0, l1, 1.0))
@@ -798,7 +818,7 @@ def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
         masks, covered = _stopping_masks(leaves.T, lams[:, hs])
         bad = _good_parts(values, masks)  # (cells, T, S, H, d)
         np.subtract(values[:, :, :, None], bad, out=bad)
-        tstar_bad = _adjoint_of_stack(bad.reshape(n, T * S, -1, cfg.dim), decs, owners)
+        tstar_bad = _adjoint_of_stack(bad.reshape(n, T * S, -1, cfg.dim), anchors, levels, owners)
         off = ~covered
         worst = np.where(off, lattice_norm(tstar_bad, cfg.q), -np.inf).max(axis=0)
         for found, row, kept in zip(excess, worst.tolist(), off.any(axis=0).tolist()):
@@ -850,15 +870,17 @@ def _adjointness_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
     f = np.empty((n, T, cfg.dim))
     gs = np.empty((n, T, S, cfg.dim))
-    decs = []
+    ends = np.empty((T, S, 2), dtype=np.int64)
     for k in range(T):
         f[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
-        decs += family_decompose(_family(cfg, next(rngs)))
+        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
         for s in range(S):
             gs[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
+    anchors, hi = ends.reshape(T * S, 2).T
+    levels = left_level_masks(anchors, hi)
     owners = np.repeat(np.arange(T), S)
-    tstar = _adjoint_of_stack(gs.reshape(n, T * S, cfg.dim), decs, owners)  # (cells, T, d)
-    tf = _segment_columns(f, decs, owners).reshape(n, T, S, cfg.dim)
+    tstar = _adjoint_of_stack(gs.reshape(n, T * S, cfg.dim), anchors, levels, owners)
+    tf = _segment_columns(f, anchors, levels, owners).reshape(n, T, S, cfg.dim)
     rhs = _pairings(np.moveaxis(f, 0, -2), np.moveaxis(tstar, 0, -2))
     lhs = _sign_averaged_pairings(tf.transpose(2, 1, 0, 3), gs.transpose(2, 1, 0, 3))
     return [
@@ -976,7 +998,8 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
         osc_c = ((g.values - c[:, None]) ** 2).sum(axis=0).mean()
         residuals["mean_subtraction_optimality"].append(float(osc_mean - osc_c))
 
-        proj_sq = _sq_sum_of_projections(f.values, intervals)
+        ends = np.array([(iv.lo, iv.hi) for iv in intervals])
+        proj_sq = _sq_sum_of_projections(f.values, ends)
         residuals["orthogonality_sum"].append(float(proj_sq.mean() - (f.values**2).mean()))
 
         total = np.zeros(n)
@@ -1235,7 +1258,8 @@ def exhaustive_pointwise_basis_check(
         decs = family_decompose([IntInterval(int(lo[i]), int(hi[i])) for i in fam])
         nn = int(rng.integers(0, n))
         f = _walsh_columns([nn], resolution)
-        sharp = sharp_maximal_stack(block_sum_stack(f, [decs]))
+        anchors, masks = _family_arrays(decs, resolution)
+        sharp = sharp_maximal_stack(block_sum_stack(f, anchors[None], masks[None]))
         m2 = rms_maximal_stack(f)
         spot_excess.append(float((sharp - m2).max()))
         table_value = sharp_tab[capture[list(fam), nn].max() + 1]

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .intervals import Decomposition
-from .operators import _block_sum_chunks, _block_sums_adjoint
+from .operators import _block_sum_chunks, _block_sums_adjoint, _family_arrays
 from .walsh import DyadicCell, ResolutionError, cell_sums
 
 EXACT_SIGN_LIMIT = 20
@@ -481,18 +481,12 @@ def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
     return float(_pairings(f.values, g.values))
 
 
-def _segments(decomps: Sequence[Decomposition]) -> tuple[list[int], list[tuple]]:
-    """Anchors and kept levels of the segments: level 0 plus the left-piece levels."""
-    return [d.anchor for d in decomps], [(0, *d.left_levels) for d in decomps]
-
-
-def _segment_columns(
-    values: np.ndarray, decomps: Sequence[Decomposition], owners
-) -> np.ndarray:
+def _segment_columns(values: np.ndarray, anchors, masks, owners) -> np.ndarray:
     """Forward transform of a (cells, T, ...) stack of T trials: (cells, S,
-    ...), column s transforming trial owners[s] for decomps[s]."""
-    out = np.empty((values.shape[0], len(decomps), *values.shape[2:]))
-    for sl, comps in _block_sum_chunks(values, *_segments(decomps), owners):
+    ...), column s transforming trial owners[s] with anchor anchors[s] over
+    level 0 and the left levels set in masks[s] (int arrays)."""
+    out = np.empty((values.shape[0], len(anchors), *values.shape[2:]))
+    for sl, comps in _block_sum_chunks(values, anchors, masks | 1, owners):
         out[:, sl] = comps
     return out
 
@@ -506,21 +500,21 @@ def segment_transform(
     anchor level 0 and the left-piece levels; multiplied back by w_{a_s} it
     is the spectral projection of f onto the segment {a_s} u (left pieces).
     """
-    comps = _segment_columns(f.values[:, None], decomps, [0] * len(decomps))
+    anchors, masks = _family_arrays(decomps, f.resolution)
+    comps = _segment_columns(f.values[:, None], anchors, masks, np.zeros_like(anchors))
     return [LatticeFunction(f.resolution, comps[:, s], f.q) for s in range(len(decomps))]
 
 
-def _adjoint_of_stack(
-    stacked: np.ndarray, decomps: Sequence[Decomposition], owners
-) -> np.ndarray:
+def _adjoint_of_stack(stacked: np.ndarray, anchors, masks, owners) -> np.ndarray:
     """Adjoint transform of a (cells, S, ...) component stack; returns the
     (cells, T, ...) stack of the trials' own sums.
 
-    Column s belongs to trial owners[s] (non-decreasing), and each trial's
-    terms add up in component order.  Trailing axes are transformed
-    independently, so several families can be recombined in one pass.
+    Column s belongs to trial owners[s] (non-decreasing) and has anchor
+    anchors[s] and left levels masks[s] (int arrays); each trial's terms add
+    up in component order.  Trailing axes are transformed independently, so
+    several families can be recombined in one pass.
     """
-    return _block_sums_adjoint(stacked, *_segments(decomps), owners)
+    return _block_sums_adjoint(stacked, anchors, masks | 1, owners)
 
 
 def segment_transform_adjoint(
@@ -538,7 +532,8 @@ def segment_transform_adjoint(
         )
     stacked = np.moveaxis(_stacked(components), 0, 1)  # (cells, S, d)
     first = components[0]
-    acc = _adjoint_of_stack(stacked, decomps, [0] * len(decomps))
+    anchors, masks = _family_arrays(decomps, first.resolution)
+    acc = _adjoint_of_stack(stacked, anchors, masks, np.zeros_like(anchors))
     return LatticeFunction(first.resolution, acc[:, 0], first.q)
 
 

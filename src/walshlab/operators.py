@@ -9,10 +9,18 @@ Theta_s its left-piece levels (`block_sum_family`).  Multiplying component s
 by w_{a_s} recovers the spectral projection of f onto the union of the left
 pieces, which is how the square function of arbitrary interval projections is
 reduced to martingale machinery.  One private engine computes these block
-sums for every caller: `_level_ranges` checks the levels and gives their
-kept index ranges, `_block_sum_chunks` runs the forward map on a (cells,
-T, ...) stack of T trials one budgeted chunk of anchors at a time, and
-`_block_sums_adjoint` is its adjoint.  The forward map never modulates:
+sums for every caller, on int arrays with one calling convention: anchors,
+level bitmasks (bit j for level j) and owner trials, one entry per column.
+`_mask_ranges` expands the set bits of a chunk's masks into their kept
+index blocks in one numpy step, `_block_sum_chunks` runs the forward map
+on a (cells, T, ...) stack of T trials one budgeted chunk of anchors at a
+time, and `_block_sums_adjoint` is its adjoint.  The campaigns take the
+masks from interval endpoints (`intervals.left_level_masks`); the public
+functions that take levels or `Decomposition`s convert them at their
+boundary (`_levels_mask`, `_family_arrays`), which refuses an anchor or a
+level above the grid's resolution with `ResolutionError` and a negative
+level with `ValueError`; the engine itself checks nothing.  The forward
+map never modulates:
 the Walsh coefficients of w_a * f are those of f at m ^ a, so it analyzes
 the stack once and gathers each column's kept coefficients.  The
 adjoint works on cells in the bit-reversed order its projections come out
@@ -23,7 +31,7 @@ the forward map gathers from that trial only, and the adjoint adds each
 column of a (cells, C, ...) stack into that trial's accumulator, in
 component order.  A single function is the one-trial
 stack f[:, None] with every owner 0.  The lattice segment transform pair
-is the same engine run with level 0 added to the left-piece levels.
+is the same engine run with level 0, bit 0, added to the left levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -37,8 +45,9 @@ stored (S, cells), is passed transposed; `maximal_function_stack` and
 `rms_maximal_stack` take a (cells, ...) stack.  Trailing axes carry trials
 and lattice coordinates, each trailing column bitwise as if computed alone,
 in any memory layout.  `block_sum_stack` runs the block-sum engine paired
-one column to one trial: it turns a (cells, T) stack and one decomposition
-family per trial into the (cells, S, T) stack the sharp kernel reads.
+one column to one trial: it turns a (cells, T) stack and (T, S) arrays of
+anchors and level masks into the (cells, S, T) stack the sharp kernel
+reads.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import delta_block
 from .intervals import Decomposition
 from .walsh import (
     DyadicFunction,
@@ -90,26 +98,45 @@ class SeqFunction:
         return cls(res, np.stack([g.values for g in components]))
 
 
-def _level_ranges(levels, resolution: int) -> list[list[tuple[int, int]]]:
-    """Per anchor, the index range [lo, hi) of each of its levels' blocks;
-    a level above `resolution` is refused."""
-    ranges = []
-    for lv in levels:
-        ranges.append([])
-        for j in lv:
-            if j > resolution:
-                raise ResolutionError(f"level {j} exceeds resolution {resolution}")
-            blk = delta_block(j)
-            ranges[-1].append((blk.lo, blk.hi))
-    return ranges
+def _levels_mask(levels: Iterable[int], resolution: int) -> int:
+    """Bitmask of block levels, bit j for level j; a level above `resolution`
+    or a negative level is refused."""
+    mask = 0
+    for j in levels:
+        if j > resolution:
+            raise ResolutionError(f"level {j} exceeds resolution {resolution}")
+        if j < 0:
+            raise ValueError(f"block level must be nonnegative, got {j}")
+        mask |= 1 << j
+    return mask
 
 
-def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
+def _family_arrays(decomps: Sequence[Decomposition], resolution: int):
+    """Anchors and left-level bitmasks of a decomposition family, as int
+    arrays; an anchor or level the grid does not resolve is refused."""
+    anchors = [dec.anchor for dec in decomps]
+    _check_resolved(anchors, resolution, "n")
+    masks = [_levels_mask(dec.left_levels, resolution) for dec in decomps]
+    return np.array(anchors, dtype=np.intp), np.array(masks, dtype=np.intp)
+
+
+def _mask_ranges(masks: np.ndarray, resolution: int):
+    """(column, lo, hi) int arrays with one row per set bit j of masks[column]:
+    [lo, hi) is the index block delta_block(j), [0, 1) for j = 0 and
+    [2**(j-1), 2**j) above.  Rows run in column order, then level order."""
+    column, level = np.nonzero(masks[:, None] >> np.arange(resolution + 1) & 1)
+    hi = 1 << level
+    return column, hi >> 1, hi
+
+
+def _block_sum_chunks(values: np.ndarray, anchors, masks, owners):
     """Yield (slice, (cells, s, ...) block sums) per budgeted chunk of anchors.
 
     `values` is a (cells, T, ...) stack of T trials, and column s sums the
-    martingale differences of w_{a_s} times trial owners[s] over its levels;
-    trailing axes ride along.  A single function is the one-trial stack
+    martingale differences of w_{a_s} times trial owners[s] over the levels
+    set in masks[s]; trailing axes ride along.  `anchors`, `masks` and
+    `owners` are int arrays, already checked against the grid (see
+    `_family_arrays`).  A single function is the one-trial stack
     values[:, None] with every owner 0.
 
     The stack is analyzed once.  The coefficient of w_a * f at m is that of
@@ -120,46 +147,46 @@ def _block_sum_chunks(values: np.ndarray, anchors, levels, owners):
     """
     n = values.shape[0]
     resolution = n.bit_length() - 1
-    _check_resolved(anchors, resolution, "n")
     coeffs = analyze_values(values)
-    anchors, owners = np.asarray(anchors, dtype=np.intp), np.asarray(owners, dtype=np.intp)
+    anchors, masks, owners = (np.asarray(x, dtype=np.intp) for x in (anchors, masks, owners))
     for sl in column_chunks(len(anchors), values[:, 0].size):
-        ranges = _level_ranges(levels[sl], resolution)
-        # one (column, level) pair per kept range, each spread over its rows
-        column = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
-        lo, hi = np.array([r for rs in ranges for r in rs], dtype=np.intp).reshape(-1, 2).T
+        # one (column, level) row per kept range, each spread over its rows
+        column, lo, hi = _mask_ranges(masks[sl], resolution)
         length = hi - lo
         rows = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
         cols = np.repeat(column, length)
-        kept = np.zeros((n, len(ranges), *values.shape[2:]))
+        kept = np.zeros((n, sl.stop - sl.start, *values.shape[2:]))
         kept[rows, cols] = coeffs[rows ^ anchors[sl][cols], owners[sl][cols]]
         sums = _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
         yield sl, sums[bit_reversal(resolution)]
 
 
-def block_sum_stack(values: np.ndarray, families) -> np.ndarray:
+def block_sum_stack(values: np.ndarray, anchors, masks) -> np.ndarray:
     """(cells, S, T) block sums of a (cells, T) stack of scalar functions.
 
-    Component s of trial t is the block sum of column t for the s-th
-    decomposition in families[t], with its anchor and left-piece levels; a
-    shorter family leaves its last components zero.
+    Component s of trial t is the block sum of column t with anchor
+    anchors[t, s] over the levels set in masks[t, s], both (T, S) int
+    arrays; a zero mask gives a zero component, so a shorter family is
+    padded with zero masks.  An anchor outside [0, 2**N) or a mask with a
+    bit above N (or a negative mask) is refused with ResolutionError.
     """
-    anchors, levels, owners, slots = [], [], [], []
-    for t, decomps in enumerate(families):
-        for s, dec in enumerate(decomps):
-            anchors.append(dec.anchor)
-            levels.append(dec.left_levels)
-            owners.append(t)
-            slots.append(s)
-    owners, slots = np.array(owners, dtype=int), np.array(slots, dtype=int)
+    anchors, masks = np.asarray(anchors, dtype=np.intp), np.asarray(masks, dtype=np.intp)
+    resolution = values.shape[0].bit_length() - 1
+    if ((anchors < 0) | (anchors >> resolution != 0)).any():
+        raise ResolutionError(f"an anchor is not resolved on a generation-{resolution} grid")
+    if (masks >> (resolution + 1) != 0).any():
+        raise ResolutionError(f"a level mask has a level outside 0..{resolution}")
+    trials, count = anchors.shape
+    owners = np.repeat(np.arange(trials), count)
+    slots = np.tile(np.arange(count), trials)
     # components outermost in memory, so the sharp kernel reads each one whole
-    out = np.zeros((max(map(len, families), default=0), *values.shape)).transpose(1, 0, 2)
-    for sl, sums in _block_sum_chunks(values, anchors, levels, owners):
+    out = np.zeros((count, *values.shape)).transpose(1, 0, 2)
+    for sl, sums in _block_sum_chunks(values, anchors.ravel(), masks.ravel(), owners):
         out[:, slots[sl], owners[sl]] = sums
     return out
 
 
-def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndarray:
+def _block_sums_adjoint(stacked: np.ndarray, anchors, masks, owners) -> np.ndarray:
     """Adjoint of `_block_sum_chunks` on a (cells, C, ...) stack of C columns.
 
     Column c belongs to trial owners[c] (non-decreasing).  Returns the
@@ -174,19 +201,18 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, levels, owners) -> np.ndar
     """
     n = stacked.shape[0]
     resolution = n.bit_length() - 1
-    _check_resolved(anchors, resolution, "n")
-    anchors, owners = np.asarray(anchors, dtype=np.intp), np.asarray(owners)
+    anchors, masks, owners = (np.asarray(x, dtype=np.intp) for x in (anchors, masks, owners))
     trials = int(owners[-1]) + 1 if owners.size else 1
     acc = np.zeros((n, trials, *stacked.shape[2:]))
     # rank of each column among the columns of its trial
     ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
     rows = np.arange(n)[:, None]
     for sl in column_chunks(len(anchors), stacked[:, 0].size):
-        ranges = _level_ranges(levels[sl], resolution)
+        column, lo, hi = _mask_ranges(masks[sl], resolution)
         odd = np.bitwise_count(rows & anchors[sl])
         odd &= 1
         w = np.where(odd, -1.0, 1.0)
-        (blocks,) = project_columns(stacked[:, sl], [ranges])
+        (blocks,) = project_columns(stacked[:, sl], column[None], lo[None], hi[None])
         blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
         for rank in np.unique(ranks[sl]).tolist():
             cols = np.flatnonzero(ranks[sl] == rank)
@@ -203,7 +229,9 @@ def block_sum(f: DyadicFunction, a: int, levels: Iterable[int]) -> DyadicFunctio
     gives the spectral projection of f onto the union of the translated
     blocks.
     """
-    ((_, sums),) = _block_sum_chunks(f.values[:, None], [a], [levels], [0])
+    _check_resolved([a], f.resolution, "n")
+    mask = _levels_mask(levels, f.resolution)
+    ((_, sums),) = _block_sum_chunks(f.values[:, None], [a], [mask], [0])
     return DyadicFunction(f.resolution, sums[:, 0])
 
 
@@ -214,10 +242,9 @@ def block_sum_family(
 
     Every component integrates to zero since left levels are >= 1.
     """
-    anchors = [dec.anchor for dec in decomps]
-    levels = [dec.left_levels for dec in decomps]
+    anchors, masks = _family_arrays(decomps, f.resolution)
     out = np.zeros((len(decomps), f.size))
-    for sl, sums in _block_sum_chunks(f.values[:, None], anchors, levels, [0] * len(decomps)):
+    for sl, sums in _block_sum_chunks(f.values[:, None], anchors, masks, np.zeros_like(anchors)):
         out[sl] = sums.T
         del sums  # the last chunk must not stay alive while SeqFunction copies `out`
     return SeqFunction(f.resolution, out)

@@ -92,6 +92,11 @@ def _asserted(worst, name=None):
     return [{"name": "ratios finite", "passed": bool(np.isfinite(worst)), "worst": worst}]
 
 
+def _family(cfg, key):
+    """The interval family of the campaign trial whose stream-1 key is `key`."""
+    return ex.random_interval_family(key, cfg.resolution, cfg.count, cfg.family)
+
+
 # ---------------------------------------------------------------------------
 # per-trial references
 # ---------------------------------------------------------------------------
@@ -103,11 +108,12 @@ def reference_scalar(cfg):
     trials = []
     for t in range(cfg.trials):
         if t < len(probes):
-            case, values, intervals = probes[t]
+            case, values, ends = probes[t]
+            intervals = [IntInterval(lo, hi) for lo, hi in ends.tolist()]
         else:
             case = cfg.policy
             values = random_function((cfg.seed, t, 0), n, cfg.policy).values
-            intervals = ex._family(cfg, (cfg.seed, t, 1))
+            intervals = _family(cfg, (cfg.seed, t, 1))
         f = DyadicFunction(n, values)
         sq = np.zeros(f.size)
         for iv in intervals:
@@ -133,7 +139,7 @@ def reference_pointwise(cfg):
     trials = []
     for t in range(cfg.trials):
         f = random_function((cfg.seed, t, 0), cfg.resolution, cfg.policy)
-        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
+        decs = family_decompose(_family(cfg, (cfg.seed, t, 1)))
         rows = [block_sum(f, dec.anchor, dec.left_levels).values for dec in decs]
         sharp = sharp_maximal(SeqFunction(cfg.resolution, np.stack(rows))).values
         m2 = rms_maximal(f).values
@@ -183,7 +189,7 @@ def reference_vector(cfg):
     trials = []
     for t in range(cfg.trials):
         f = random_lattice_function((cfg.seed, t, 0), n, cfg.dim, cfg.q, cfg.policy)
-        intervals = ex._family(cfg, (cfg.seed, t, 1))
+        intervals = _family(cfg, (cfg.seed, t, 1))
         coeffs = analyze_values(f.values)
         comps = []
         for iv in intervals:
@@ -250,7 +256,7 @@ def reference_weak11(cfg, family_split=False):
     n = cfg.resolution
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
+        decs = family_decompose(_family(cfg, (cfg.seed, t, 1)))
         gs = [
             random_lattice_function((cfg.seed, t, 10 + s), n, cfg.dim, cfg.q, cfg.policy)
             for s in range(len(decs))
@@ -297,7 +303,7 @@ def reference_adjoint(cfg):
     n = cfg.resolution
     trials = []
     for t in range(cfg.trials):
-        decs = family_decompose(ex._family(cfg, (cfg.seed, t, 1)))
+        decs = family_decompose(_family(cfg, (cfg.seed, t, 1)))
         f = random_lattice_function((cfg.seed, t, 0), n, cfg.dim, cfg.q, cfg.policy)
         gs = [
             random_lattice_function((cfg.seed, t, 10 + s), n, cfg.dim, cfg.q, cfg.policy)
@@ -470,7 +476,13 @@ def test_trial_block_sums_of_families_of_any_length(budget):
         count = 1 + t % 5
         intervals = ex.random_interval_family((19, t, 1), resolution, count)
         families.append(family_decompose(intervals))
-    stack = block_sum_stack(np.stack(rows, axis=1), families)
+    anchors = np.zeros((trials, 5), dtype=int)
+    masks = np.zeros((trials, 5), dtype=int)
+    for t, decs in enumerate(families):
+        for s, dec in enumerate(decs):
+            anchors[t, s] = dec.anchor
+            masks[t, s] = sum(1 << j for j in dec.left_levels)
+    stack = block_sum_stack(np.stack(rows, axis=1), anchors, masks)
     assert stack.shape == (1 << resolution, 5, trials)
     for t, (row, decs) in enumerate(zip(rows, families)):
         alone = block_sum_family(DyadicFunction(resolution, row), decs).values

@@ -16,7 +16,8 @@ from walshlab.experiments import (
     ExperimentConfig,
     _MAX_TRIAL_FLOATS,
     _check_trial_floats,
-    _family,
+    _family_capacity,
+    _family_ends,
     _scalar_probes,
     random_function,
     random_interval_family,
@@ -35,7 +36,9 @@ from walshlab.experiments import (
     decompose_report,
     exhaustive_pointwise_basis_check,
 )
-from walshlab.intervals import family_decompose
+from walshlab import dyadic, intervals
+from walshlab import experiments as ex
+from walshlab.intervals import Decomposition, family_decompose
 from walshlab.lattice import LatticeFunction
 from walshlab.operators import SeqFunction, block_sum_family, rms_maximal, sharp_maximal
 from walshlab.walsh import DyadicFunction, analyze_values, walsh_eval
@@ -131,6 +134,28 @@ def test_random_interval_family_capacity_is_tight(policy, capacity):
         assert len(random_interval_family(seed, 4, capacity, policy)) == capacity
     with pytest.raises(ValueError, match="^cannot "):
         random_interval_family(0, 4, capacity + 1, policy)
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2, 4, 7, 10])
+@pytest.mark.parametrize("policy", ["random", "singletons", "dyadic", "misaligned"])
+def test_drawn_family_ends_are_sorted_disjoint_intervals(policy, resolution):
+    # the runners draw with `_family_ends` and decompose nothing, so no
+    # `family_decompose` re-checks their families: check the draws here
+    capacity = _family_capacity(resolution, policy)
+    counts = sorted({c for c in (1, 2, 3, 5, capacity) if 1 <= c <= capacity})
+    if not counts:
+        with pytest.raises(ValueError, match="^cannot "):
+            random_interval_family(0, resolution, 1, policy)
+    for count in counts:
+        for seed in (0, 3, 7, 11):
+            ends = _family_ends(rng_for((seed, 2, 1)), resolution, count, policy)
+            family = random_interval_family((seed, 2, 1), resolution, count, policy)
+            assert ends.dtype == np.int64 and ends.shape == (count, 2)
+            assert ends.tolist() == [[iv.lo, iv.hi] for iv in family]
+            lo, hi = ends.T
+            assert (lo < hi).all()
+            assert (hi[:-1] <= lo[1:]).all()  # sorted and pairwise disjoint
+            assert lo[0] >= 0 and hi[-1] <= 1 << resolution
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +645,14 @@ def test_one_nan_trial_fails_the_run(monkeypatch, kind):
 )
 @pytest.mark.parametrize("kind", sorted(RUNNERS))
 def test_campaigns_build_no_grid_wrapper(monkeypatch, kind, policy):
-    # the runners work on chunk stacks of arrays: building any of the three
-    # grid-value wrappers raises while they run
-    def refuse(self):
+    # the runners work on chunk stacks of arrays and hold their families as
+    # endpoint and level-mask arrays: building a grid-value wrapper, an
+    # interval or a decomposition, or calling decompose, raises while they run
+    def refuse(self, *args, **kwargs):
         raise AssertionError(f"a campaign built a {type(self).__name__}")
+
+    def refuse_call(*args, **kwargs):
+        raise AssertionError("a campaign decomposed an interval or built one unchecked")
 
     for wrapper in (DyadicFunction, SeqFunction, LatticeFunction):
         monkeypatch.setattr(wrapper, "__post_init__", refuse)
@@ -632,9 +661,17 @@ def test_campaigns_build_no_grid_wrapper(monkeypatch, kind, policy):
         kind=kind, resolution=4, trials=8, p=4.0, q=3.0, dim=2, count=3, components=3,
         policy=policy,
     )
-    for rad in ["exact"] if kind == "adjoint" else ["exact", "mc:40"]:
-        report = RUNNERS[kind](dataclasses.replace(cfg, rad=rad))
-        assert len(report.trials) == cfg.trials
+    with monkeypatch.context() as strict:
+        for cls in (IntInterval, Decomposition):
+            strict.setattr(cls, "__init__", refuse)
+        for module in (dyadic, intervals):
+            strict.setattr(module, "_interval", refuse_call)
+        for module in (intervals, ex):
+            strict.setattr(module, "decompose", refuse_call)
+        for rad in ["exact"] if kind == "adjoint" else ["exact", "mc:40"]:
+            report = RUNNERS[kind](dataclasses.replace(cfg, rad=rad))
+            assert len(report.trials) == cfg.trials
+    # the basis sweep stays on the verified route: it decomposes its spot checks
     report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
     assert report["passed"] and report["spot_checks"] > 0
 
@@ -725,7 +762,7 @@ def test_scalar_probes_are_bitwise_the_walsh_products(resolution):
     for (case, vals, intervals), (_, want, want_intervals) in zip(probes, expected):
         assert vals.dtype == want.dtype and vals.shape == want.shape, case
         assert vals.tobytes() == want.tobytes(), case
-        assert intervals == want_intervals, case
+        assert intervals.tolist() == [[iv.lo, iv.hi] for iv in want_intervals], case
 
 
 @pytest.mark.parametrize("resolution", [14, 15, 16])
@@ -750,7 +787,10 @@ def test_spike_sharp_bound_holds_at_large_resolution(resolution):
     m2 = rms_maximal(f).values
     cfg = ExperimentConfig(kind="pointwise", resolution=resolution, trials=3)
     families = [[IntInterval(0, 1)] + [delta_block(k) for k in range(1, resolution + 1)]]
-    families += [_family(cfg, (cfg.seed, t, 1)) for t in range(cfg.trials)]
+    families += [
+        random_interval_family((cfg.seed, t, 1), resolution, cfg.count, cfg.family)
+        for t in range(cfg.trials)
+    ]
     for intervals in families:
         sharp = sharp_maximal(block_sum_family(f, family_decompose(intervals))).values
         assert float((sharp - m2).max()) <= ASSERT_TOL

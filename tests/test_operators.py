@@ -211,8 +211,8 @@ def test_orthogonality_sum_bounded_by_norm():
 
     for seed in range(20):
         f = random_f(8, seed=seed)
-        intervals = random_family(8, 4, seed=seed)
-        sq = _sq_sum_of_projections(f.values, intervals)
+        ends = np.array([(iv.lo, iv.hi) for iv in random_family(8, 4, seed=seed)])
+        sq = _sq_sum_of_projections(f.values, ends)
         assert sq.mean() <= (f.values**2).mean() + 1e-10
 
 

@@ -92,6 +92,31 @@ def test_signed_zeros_permute_bitwise_unless_the_first_cell_is_minus_zero(resolu
                     assert np.array_equal(permuted, coeffs[m ^ a]), (f, a)
 
 
+def _masks(levels):
+    """The bitmask of each column's levels, bit j for level j."""
+    return np.array([sum(1 << j for j in lv) for lv in levels], dtype=np.intp)
+
+
+def _selection_arrays(selections):
+    """(P, R) column, lo, hi arrays for `project_columns`, one row per
+    selection of per-column (lo, hi) lists, padded with empty ranges."""
+    rows = [
+        [(t, lo, hi) for t, column in enumerate(sel) for lo, hi in column] for sel in selections
+    ]
+    width = max(map(len, rows), default=0)
+    table = np.zeros((len(rows), width, 3), dtype=np.intp)
+    for p, row in enumerate(rows):
+        table[p, : len(row)] = np.reshape(row, (-1, 3))
+    return table[..., 0], table[..., 1], table[..., 2]
+
+
+def _level_ranges(levels):
+    """One selection keeping each column's level blocks, as `project_columns` arrays."""
+    return _selection_arrays(
+        [[[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels]]
+    )
+
+
 def _stack_and_families(resolution, dim, policy, trials):
     values = np.stack(
         [draw(resolution, dim, policy, [9, resolution, t]) for t in range(trials)], axis=1
@@ -120,11 +145,10 @@ def test_forward_engine_matches_modulating_reference(
     anchors = [d.anchor for d in decs]
     levels = [((0,) if segment else ()) + d.left_levels for d in decs]
     seen = 0
-    for sl, sums in _block_sum_chunks(values, anchors, levels, owners):
+    for sl, sums in _block_sum_chunks(values, np.array(anchors), _masks(levels), owners):
         w = _walsh_columns(anchors[sl], resolution)
         w = w.reshape(w.shape + (1,) * (values.ndim - 2))
-        ranges = [[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels[sl]]
-        (reference,) = project_columns(w * values[:, owners[sl]], [ranges])
+        (reference,) = project_columns(w * values[:, owners[sl]], *_level_ranges(levels[sl]))
         # project_columns leaves cells bit-reversed; the forward engine gathers them
         reference = reference[bit_reversal(resolution)]
         assert sums.shape == reference.shape
@@ -169,14 +193,15 @@ def test_project_columns_is_bitwise_unpruned(resolution):
     selections = [[[], []], [[(0, 1)], []], [[(n - 1, n)], [(0, n)]]]
     if n >= 8:
         selections += [[[(3, 5)], [(7, 8), (1, 2)]], [[(n // 2 - 1, n // 2 + 3)], [(5, n - 1)]]]
-    for selection, projection in zip(selections, project_columns(values, selections)):
+    projections = project_columns(values, *_selection_arrays(selections))
+    for selection, projection in zip(selections, projections):
         kept = np.zeros_like(coeffs)
         for t, column in enumerate(selection):
             for lo, hi in column:
                 kept[lo:hi, t] = coeffs[lo:hi, t]
         assert projection.tobytes() == fwht(kept).tobytes(), selection
     # an empty selection gives the all-(+0.0) projection
-    (empty,) = project_columns(values, [[[], []]])
+    (empty,) = project_columns(values, *_selection_arrays([[[], []]]))
     assert empty.tobytes() == np.zeros_like(values).tobytes()
 
 
@@ -212,10 +237,15 @@ def test_sq_sum_of_projections_is_bitwise_natural_order_fold(resolution, trials)
         values[:, 1] = -0.0
         families += [[IntInterval(0, max(1, n // 2))], []]
         assert np.signbit(analyze_values(values)[0, 1])
-    got = _sq_sum_of_projections(values, families)
+    # (T, S, 2) endpoint rows, a shorter family padded with empty rows
+    ends = np.zeros((trials, count, 2), dtype=np.int64)
+    for t, family in enumerate(families):
+        for s, iv in enumerate(family):
+            ends[t, s] = iv.lo, iv.hi
+    got = _sq_sum_of_projections(values, ends)
     assert got.tobytes() == _natural_sq_sum(values, families).tobytes()
     # one function on its own runs the same fold
-    single = _sq_sum_of_projections(values[:, 0], families[0])
+    single = _sq_sum_of_projections(values[:, 0], ends[0])
     assert single.tobytes() == _natural_sq_sum(values[:, :1], families[:1])[:, 0].tobytes()
 
 
@@ -227,9 +257,8 @@ def _adjoint_reference(stacked, anchors, levels, owners):
     acc = np.zeros((stacked.shape[0], trials, *stacked.shape[2:]))
     ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
     for sl in column_chunks(len(anchors), stacked[:, 0].size):
-        ranges = [[(delta_block(j).lo, delta_block(j).hi) for j in lv] for lv in levels[sl]]
         w = _walsh_columns(anchors[sl], resolution)
-        (blocks,) = project_columns(stacked[:, sl], [ranges])
+        (blocks,) = project_columns(stacked[:, sl], *_level_ranges(levels[sl]))
         blocks = blocks[bit_reversal(resolution)]
         blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
         for rank in np.unique(ranks[sl]).tolist():
@@ -254,7 +283,7 @@ def test_adjoint_engine_matches_gathered_reference(
     stacked[0, 0] = -0.0
     anchors = [d.anchor for d in decs]
     levels = [((0,) if segment else ()) + d.left_levels for d in decs]
-    got = _block_sums_adjoint(stacked, anchors, levels, owners)
+    got = _block_sums_adjoint(stacked, np.array(anchors), _masks(levels), owners)
     reference = _adjoint_reference(stacked, anchors, levels, owners)
     assert got.shape == reference.shape
     assert got.tobytes() == reference.tobytes()
