@@ -10,8 +10,12 @@ tree.  Both are imported into this one process under distinct package
 names.  Every config (an `ExperimentConfig` as a JSON object; by default
 the ten campaigns of `scripts/run_all_campaigns.py`) is first run once on
 each tree, and the two `report_json_lines` must be byte-identical, the
-timestamp left out.  Then the two trees run it alternately, the first side
-switching every round, and the script prints the median CPU time
+timestamp left out.  A config of kind "basis" holds the arguments of
+`exhaustive_pointwise_basis_check` instead, e.g. {"kind": "basis",
+"resolution": 5, "max_intervals": 2, "spot_checks": 200}, and its two
+reports are compared as `json.dumps(..., sort_keys=True)`.  Then the two
+trees run it alternately, the first side switching every round, and the
+script prints the median CPU time
 (`time.process_time`) of each side and their ratio, change over base.
 
 One process sees one heap, one set of imported libraries and one host
@@ -57,8 +61,19 @@ def default_configs(experiments) -> list[dict]:
 
 
 def run(experiments, config: dict):
+    if config["kind"] == "basis":
+        args = {k: v for k, v in config.items() if k != "kind"}
+        return experiments.exhaustive_pointwise_basis_check(**args)
     cfg = experiments.ExperimentConfig(**config)
     return experiments.RUNNERS[cfg.kind](cfg)
+
+
+def report_text(experiments, config: dict) -> str:
+    """The report of one run of `config`, its timestamp left out."""
+    report = run(experiments, config)
+    if config["kind"] == "basis":
+        return json.dumps(report, sort_keys=True)
+    return experiments.report_json_lines(report, timestamp="")
 
 
 def timed(experiments, config: dict) -> float:
@@ -74,7 +89,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="src/ directory of the changed tree")
     parser.add_argument(
         "--config", action="append", type=json.loads, default=[],
-        help='ExperimentConfig fields as JSON, e.g. \'{"kind": "scalar", "resolution": 18}\'',
+        help='ExperimentConfig fields as JSON, e.g. \'{"kind": "scalar", "resolution": 18}\', '
+        'or basis sweep arguments with "kind": "basis"',
     )
     parser.add_argument("--seed", type=int, default=0, help="seed of every config")
     parser.add_argument("--rounds", type=int, default=11, help="timed runs per side")
@@ -85,7 +101,8 @@ def main(argv=None) -> int:
     configs = [{**c, "seed": args.seed} for c in args.config or default_configs(sides["base"])]
     labels = []
     for config in configs:
-        defaults = sides["base"].ExperimentConfig(kind=config["kind"]).to_dict()
+        kind = config["kind"]
+        defaults = {} if kind == "basis" else sides["base"].ExperimentConfig(kind=kind).to_dict()
         labels.append(" ".join(
             f"{k}={v}" for k, v in config.items() if k == "kind" or v != defaults.get(k)
         ))
@@ -93,10 +110,7 @@ def main(argv=None) -> int:
     identical = True
     print(f"{'config (fields off their defaults)':{width}s}    base_s  change_s   ratio")
     for config, label in zip(configs, labels):
-        lines = {
-            name: ex.report_json_lines(run(ex, config), timestamp="")
-            for name, ex in sides.items()
-        }
+        lines = {name: report_text(ex, config) for name, ex in sides.items()}
         if lines["base"] != lines["change"]:
             print(f"{label:{width}s} REPORTS DIFFER")
             identical = False

@@ -26,8 +26,10 @@ rows, each trial's drawn by `_family_ends` from its stream-1 generator,
 and the block sums and segment transforms take their anchors and
 left-level bitmasks from those endpoints (`intervals.left_level_masks`):
 no `IntInterval` or `Decomposition` is built and `decompose` is not
-called.  `verify_identities` and the basis sweep stay on the verified
-route through `family_decompose`.  A config whose trial would hold more than
+called.  The basis sweep takes the masks of all its intervals at once
+and builds its capture table and spot checks from them, with no
+`Decomposition` either.  `verify_identities` stays on the verified route
+through `family_decompose`.  A config whose trial would hold more than
 `_MAX_TRIAL_FLOATS` floats at a time is refused before any draw.  `pointwise` stacks
 the block sums of a chunk as (cells, S, T) for the stack kernels of
 `operators`; `lemma` draws into a (T, S, cells, d) buffer, removes the cell
@@ -81,7 +83,6 @@ from .lattice import (
     verify_cz,
 )
 from .operators import (
-    _family_arrays,
     _square_sum,
     block_sum,
     block_sum_family,
@@ -1134,7 +1135,10 @@ def exhaustive_pointwise_basis_check(
     families against those tables and asserts that at most one interval
     captures each basis index (pieces are disjoint across a family); a seeded
     subsample of (family, basis) pairs is re-run through the full pipeline to
-    pin the tables to the real code path.
+    pin the tables to the real code path.  Both take each interval's left
+    levels from `left_level_masks`, the route the campaigns run.  A negative
+    `resolution` or `spot_checks`, or `max_intervals` below 1, is refused
+    with ValueError before any table is built.
 
     Families are enumerated depth by depth as arrays: a family's children
     append any interval starting at or after its last end, and each family
@@ -1148,8 +1152,8 @@ def exhaustive_pointwise_basis_check(
     generator exactly as one draw per family would, and the sampled ranks
     are mapped back to families through per-depth subtree sizes.
     """
-    if max_intervals < 1:
-        raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
+    _check_min(1, max_intervals=max_intervals)
+    _check_min(0, resolution=resolution, spot_checks=spot_checks)
     n = 1 << resolution
     # intervals in (lo, hi) order: those starting at or after s are the
     # suffix from first[s]
@@ -1160,11 +1164,10 @@ def exhaustive_pointwise_basis_check(
     first = np.searchsorted(lo, np.arange(n + 1))
     grid = np.arange(n)
     bit_length = np.array([m.bit_length() for m in range(n)])
-    capture = np.full((n_iv, n), -1, dtype=np.int64)
-    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-        m = a ^ grid
-        kept = np.isin(bit_length[m], decompose(a, b).left_levels)
-        capture[i, kept] = m[kept]
+    # interval i keeps basis index nn when bit_length(lo[i] ^ nn) is a left level
+    masks = left_level_masks(lo, hi)
+    moved = lo[:, None] ^ grid
+    capture = np.where(masks[:, None] >> bit_length[moved] & 1, moved, -1)
 
     basis = _walsh_columns(range(n), resolution)
     sharp_tab = np.zeros(n + 1)  # index m+1; slot 0 is the zero function
@@ -1227,7 +1230,7 @@ def exhaustive_pointwise_basis_check(
             family.append(i)
             rank = target - before[d][i]
             if rank == 0:
-                return tuple(family)
+                return family
             rank, start, d = rank - 1, hi[i], d + 1
 
     rng = rng_for((seed, 99))
@@ -1252,17 +1255,15 @@ def exhaustive_pointwise_basis_check(
             fam.append(i)
             start = hi[i]
         if fam:
-            sampled.append(tuple(fam))
+            sampled.append(fam)
     spot_excess = []
     for fam in sampled:
-        decs = family_decompose([IntInterval(int(lo[i]), int(hi[i])) for i in fam])
         nn = int(rng.integers(0, n))
         f = _walsh_columns([nn], resolution)
-        anchors, masks = _family_arrays(decs, resolution)
-        sharp = sharp_maximal_stack(block_sum_stack(f, anchors[None], masks[None]))
+        sharp = sharp_maximal_stack(block_sum_stack(f, lo[fam][None], masks[fam][None]))
         m2 = rms_maximal_stack(f)
         spot_excess.append(float((sharp - m2).max()))
-        table_value = sharp_tab[capture[list(fam), nn].max() + 1]
+        table_value = sharp_tab[capture[fam, nn].max() + 1]
         if not abs(float(sharp.max()) - table_value) <= 1e-12:
             pairs = [(int(lo[i]), int(hi[i])) for i in fam]
             raise RuntimeError(f"pipeline disagrees with table on {pairs}, n={nn}")

@@ -36,9 +36,10 @@ The campaigns hold their families as arrays of endpoints and take the
 masks of a whole chunk at once from this identity (`left_level_masks`),
 with no piece or `Decomposition` built; an empty row a == b has mask 0.
 A test pins the identity against `decompose` exhaustively up to 2**9 and
-on random intervals up to 2**20.  `decompose`, `verify_decomposition` and
+on random intervals up to 2**20.  The exhaustive basis sweep takes its
+masks the same way.  `decompose`, `verify_decomposition` and
 `family_decompose` stay the constructive, verified route of the public
-API, criterion 03 and the exhaustive basis sweep.
+API, `verify_identities` and criterion 03.
 """
 
 from __future__ import annotations

@@ -19,19 +19,20 @@ masks from interval endpoints (`intervals.left_level_masks`); the public
 functions that take levels or `Decomposition`s convert them at their
 boundary (`_levels_mask`, `_family_arrays`), which refuses an anchor or a
 level above the grid's resolution with `ResolutionError` and a negative
-level with `ValueError`; the engine itself checks nothing.  The forward
-map never modulates:
-the Walsh coefficients of w_a * f are those of f at m ^ a, so it analyzes
-the stack once and gathers each column's kept coefficients.  The
-adjoint works on cells in the bit-reversed order its projections come out
-in: it multiplies by the anchor functions in that order (one parity
-evaluation of the cell indices against a chunk's anchors) and gathers its
-accumulator once, at the end.  Every anchor column has one owner trial:
-the forward map gathers from that trial only, and the adjoint adds each
-column of a (cells, C, ...) stack into that trial's accumulator, in
-component order.  A single function is the one-trial
-stack f[:, None] with every owner 0.  The lattice segment transform pair
-is the same engine run with level 0, bit 0, added to the left levels.
+level with `ValueError`; the engine itself checks nothing.  Neither
+direction modulates: the Walsh coefficients of w_a * f are those of f at
+m ^ a, so both build their kept coefficients by one gather at r ^ a and
+one synthesis pruned to the hull of the kept rows (`_gather_synthesis`).
+The forward map analyzes the stack once and keeps each column's level
+blocks; the adjoint keeps their images under xor by the anchor, which
+multiplies each projection by its anchor function, and gathers its
+accumulator from bit-reversed cell order once, at the end.  Every anchor
+column has one owner trial: the forward map gathers from that trial only,
+and the adjoint adds each column of a (cells, C, ...) stack into that
+trial's accumulator, in component order.  A single function is the
+one-trial stack f[:, None] with every owner 0.  The lattice segment
+transform pair is the same engine run with level 0, bit 0, added to the
+left levels.
 
 Maximal and oscillation functionals are dyadic throughout: suprema range over
 the dyadic cells of levels 0..N only, which loses nothing because the
@@ -67,7 +68,6 @@ from .walsh import (
     bit_reversal,
     cell_sums,
     column_chunks,
-    project_columns,
 )
 
 
@@ -129,6 +129,25 @@ def _mask_ranges(masks: np.ndarray, resolution: int):
     return column, hi >> 1, hi
 
 
+def _gather_synthesis(coeffs: np.ndarray, anchors, sources, column, lo, hi) -> np.ndarray:
+    """Synthesize the coefficients gathered at r ^ a, in bit-reversed cell order.
+
+    Column c of the (cells, len(anchors), ...) result keeps, at every row r
+    of its ranges [lo, hi) (the rows of (column, lo, hi) int arrays), the
+    coefficient coeffs[r ^ anchors[c], sources[c]], and +0.0 elsewhere; it
+    is synthesized over the hull of the ranges, with row j holding cell
+    bit_reversal(N)[j].
+    """
+    n = coeffs.shape[0]
+    # one (column, range) row per kept range, each spread over its rows
+    length = hi - lo
+    rows = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+    cols = np.repeat(column, length)
+    kept = np.zeros((n, len(anchors), *coeffs.shape[2:]))
+    kept[rows, cols] = coeffs[rows ^ anchors[cols], sources[cols]]
+    return _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
+
+
 def _block_sum_chunks(values: np.ndarray, anchors, masks, owners):
     """Yield (slice, (cells, s, ...) block sums) per budgeted chunk of anchors.
 
@@ -140,24 +159,17 @@ def _block_sum_chunks(values: np.ndarray, anchors, masks, owners):
     values[:, None] with every owner 0.
 
     The stack is analyzed once.  The coefficient of w_a * f at m is that of
-    f at m ^ a, so each chunk gathers its kept coefficients in one step and
-    synthesizes them over the hull of its kept ranges.  That is bitwise
+    f at m ^ a, so each chunk gathers its kept level blocks from the
+    owners' coefficients (`_gather_synthesis`).  That is bitwise
     modulate-then-analyze unless a column's first cell is -0.0, which can
     flip the sign of a zero; no campaign draw has one.
     """
-    n = values.shape[0]
-    resolution = n.bit_length() - 1
+    resolution = values.shape[0].bit_length() - 1
     coeffs = analyze_values(values)
     anchors, masks, owners = (np.asarray(x, dtype=np.intp) for x in (anchors, masks, owners))
     for sl in column_chunks(len(anchors), values[:, 0].size):
-        # one (column, level) row per kept range, each spread over its rows
         column, lo, hi = _mask_ranges(masks[sl], resolution)
-        length = hi - lo
-        rows = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
-        cols = np.repeat(column, length)
-        kept = np.zeros((n, sl.stop - sl.start, *values.shape[2:]))
-        kept[rows, cols] = coeffs[rows ^ anchors[sl][cols], owners[sl][cols]]
-        sums = _synthesize_owned(kept, lo.min(initial=n), hi.max(initial=0))
+        sums = _gather_synthesis(coeffs, anchors[sl], owners[sl], column, lo, hi)
         yield sl, sums[bit_reversal(resolution)]
 
 
@@ -194,10 +206,17 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, masks, owners) -> np.ndarr
     the block sums of its own columns c.  Within a chunk the k-th columns of
     all trials are added in one step, k = 0, 1, ...
 
-    The projections come out in bit-reversed cell order, so the anchor
-    functions are evaluated in that order too: on row j, which holds cell
-    bit_reversal(N)[j], w_a is -1 where j & a has odd parity (see
-    `walsh._walsh_columns`).  The accumulator is gathered once at the end.
+    w_a times the projection of h onto a level block [lo, hi) has the
+    coefficients of h moved by xor a: at r in the block's image
+    [base, base + hi - lo), base = (a ^ lo) & ~(hi - lo - 1) ({a} for level
+    0), it holds the coefficient of h at r ^ a.  So each chunk is analyzed
+    and its moved blocks gathered and synthesized (`_gather_synthesis`), the
+    forward map's gather with every column its own source.  Where bit h of a
+    is set, the butterfly stage h meets each moved pair swapped and gives
+    (x + y, -(x - y)): the value of w_a times the projection, but an exact
+    zero may come out -0.0.  The accumulator starts at +0.0, and adding
+    -0.0 to it leaves +0.0, so the sums have the bits of the multiply.
+    The accumulator is in bit-reversed cell order and gathered once at the end.
     """
     n = stacked.shape[0]
     resolution = n.bit_length() - 1
@@ -206,14 +225,12 @@ def _block_sums_adjoint(stacked: np.ndarray, anchors, masks, owners) -> np.ndarr
     acc = np.zeros((n, trials, *stacked.shape[2:]))
     # rank of each column among the columns of its trial
     ranks = np.arange(owners.size) - np.searchsorted(owners, owners)
-    rows = np.arange(n)[:, None]
     for sl in column_chunks(len(anchors), stacked[:, 0].size):
         column, lo, hi = _mask_ranges(masks[sl], resolution)
-        odd = np.bitwise_count(rows & anchors[sl])
-        odd &= 1
-        w = np.where(odd, -1.0, 1.0)
-        (blocks,) = project_columns(stacked[:, sl], column[None], lo[None], hi[None])
-        blocks *= w.reshape(w.shape + (1,) * (stacked.ndim - 2))
+        base = (anchors[sl][column] ^ lo) & ~(hi - lo - 1)
+        sources = np.arange(sl.stop - sl.start)
+        coeffs = analyze_values(stacked[:, sl])
+        blocks = _gather_synthesis(coeffs, anchors[sl], sources, column, base, base + hi - lo)
         for rank in np.unique(ranks[sl]).tolist():
             cols = np.flatnonzero(ranks[sl] == rank)
             acc[:, owners[sl][cols]] += blocks[:, cols]

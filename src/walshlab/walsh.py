@@ -26,7 +26,8 @@ Conventions baked in here:
   bitwise.  The helper leaves the cells in bit-reversed order, and each
   caller gathers once, after its last pointwise step: ``synthesize_values``
   (full range) and the forward block sums at once, a fold of many
-  projections after it has added them.
+  syntheses (the square fold, the block-sum adjoint) after it has added
+  them.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing

@@ -30,7 +30,7 @@ from walshlab.experiments import (
     random_lattice_function,
     report_json_lines,
 )
-from walshlab.intervals import decompose, family_decompose
+from walshlab.intervals import decompose, family_decompose, left_level_masks
 from walshlab.lattice import (
     LatticeFunction,
     duality_pairing,
@@ -744,17 +744,19 @@ SWEEPS = [
 def _same_sweep(monkeypatch, resolution, max_intervals, spot_checks, seed):
     checked = []
 
-    def recording(intervals):
-        checked.append(tuple((iv.lo, iv.hi) for iv in intervals))
-        return family_decompose(intervals)
+    def recording(values, anchors, masks):
+        checked.append((anchors.tolist(), masks.tolist()))
+        return block_sum_stack(values, anchors, masks)
 
-    monkeypatch.setattr(ex, "family_decompose", recording)
+    monkeypatch.setattr(ex, "block_sum_stack", recording)
     report = ex.exhaustive_pointwise_basis_check(
         resolution, max_intervals, spot_checks=spot_checks, seed=seed
     )
     expected, sampled = reference_basis_sweep(resolution, max_intervals, spot_checks, seed)
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
-    assert checked == sampled
+    # each spot check runs its family's anchors and left-level masks, in order
+    ends = [np.array(fam).T for fam in sampled]
+    assert checked == [([lo.tolist()], [left_level_masks(lo, hi).tolist()]) for lo, hi in ends]
     n = 1 << resolution
     assert report["families"] == sum(
         math.comb(n + k, 2 * k) for k in range(1, max_intervals + 1)

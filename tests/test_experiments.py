@@ -668,12 +668,13 @@ def test_campaigns_build_no_grid_wrapper(monkeypatch, kind, policy):
             strict.setattr(module, "_interval", refuse_call)
         for module in (intervals, ex):
             strict.setattr(module, "decompose", refuse_call)
+        strict.setattr(ex, "family_decompose", refuse_call)
         for rad in ["exact"] if kind == "adjoint" else ["exact", "mc:40"]:
             report = RUNNERS[kind](dataclasses.replace(cfg, rad=rad))
             assert len(report.trials) == cfg.trials
-    # the basis sweep stays on the verified route: it decomposes its spot checks
-    report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
-    assert report["passed"] and report["spot_checks"] > 0
+        # the basis sweep takes its tables and spot checks from level masks too
+        report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
+        assert report["passed"] and report["spot_checks"] > 0
 
 
 def test_nan_lhs_alone_fails_scalar(monkeypatch):
@@ -731,6 +732,23 @@ def test_nan_table_value_fails_the_basis_sweep(monkeypatch):
         return
     assert poisoned
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "field, value, least", [("resolution", -1, 0), ("spot_checks", -5, 0), ("max_intervals", 0, 1)]
+)
+def test_basis_sweep_refuses_a_count_below_its_least(monkeypatch, field, value, least):
+    import walshlab.experiments as ex
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    # refused before any capture or sharp table is built
+    monkeypatch.setattr(ex, "left_level_masks", no_table)
+    monkeypatch.setattr(ex, "_walsh_columns", no_table)
+    args = {"resolution": 3, "max_intervals": 2, "spot_checks": 50, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+        ex.exhaustive_pointwise_basis_check(**args)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@
   order, and the folds over many projections gather once at the end.  The
   square fold and the block-sum adjoint are pinned against references that
   gather every projection first.
+* Moved gather: the adjoint gathers each column's coefficients at r ^ a
+  into the images of its level blocks under xor a, which is w_a times the
+  projection in value; an exact zero may flip sign, and the adjoint is
+  bitwise only after its +0.0 accumulator has absorbed those signs.
 
 Bytes are compared with `tobytes()`, because `np.array_equal` treats -0.0
 and +0.0 as equal.
@@ -24,13 +28,19 @@ import pytest
 from walshlab import walsh
 from walshlab.dyadic import IntInterval, delta_block
 from walshlab.experiments import (
+    _family_capacity,
     _sq_sum_of_projections,
     random_function,
     random_interval_family,
     random_lattice_function,
 )
 from walshlab.intervals import family_decompose
-from walshlab.operators import _block_sum_chunks, _block_sums_adjoint
+from walshlab.operators import (
+    _block_sum_chunks,
+    _block_sums_adjoint,
+    _gather_synthesis,
+    _mask_ranges,
+)
 from walshlab.walsh import (
     _synthesize_owned,
     _walsh_columns,
@@ -287,3 +297,55 @@ def test_adjoint_engine_matches_gathered_reference(
     reference = _adjoint_reference(stacked, anchors, levels, owners)
     assert got.shape == reference.shape
     assert got.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("segment", [False, True])
+@pytest.mark.parametrize("dim", [None, 3])
+@pytest.mark.parametrize("resolution", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", ["dyadic", "singletons"])
+def test_adjoint_signed_zeros_match_the_multiply_reference(family, resolution, dim, segment):
+    # Rademacher cells project to many exact zeros.  Trials 0-2 draw their
+    # families; trial 3 has two columns with one anchor, the second the
+    # negative of the first, so they cancel to zeros; column 1 is all -0.0
+    rng = np.random.default_rng([resolution, len(family)])
+    count = min(3, _family_capacity(resolution, family))
+    decs, owners = [], []
+    for t in range(3):
+        drawn = family_decompose(random_interval_family(rng, resolution, count, family))
+        decs += drawn
+        owners += [t] * len(drawn)
+    anchors = [d.anchor for d in decs] + [decs[0].anchor] * 2
+    levels = [((0,) if segment else ()) + d.left_levels for d in decs]
+    levels += [levels[0]] * 2
+    owners = np.array(owners + [3, 3])
+    keys = [[13, resolution, c] for c in range(owners.size)]
+    stacked = np.stack([draw(resolution, dim, "rademacher-cells", key) for key in keys], axis=1)
+    stacked[:, -1] = -stacked[:, -2]
+    stacked[:, 1] = -0.0
+    got = _block_sums_adjoint(stacked, np.array(anchors), _masks(levels), owners)
+    reference = _adjoint_reference(stacked, anchors, levels, owners)
+    assert got.tobytes() == reference.tobytes()
+    assert not np.signbit(got[got == 0]).any()
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+def test_moved_synthesis_is_the_anchor_times_the_projection_in_value(resolution):
+    # one column's moved synthesis equals w_a * P(h) in value, but an exact
+    # zero can come out with the other sign: the adjoint is bitwise only
+    # after its +0.0 accumulator has absorbed the signs of its zeros
+    n = 1 << resolution
+    rev = bit_reversal(resolution)
+    h = draw(resolution, None, "rademacher-cells", [17, resolution])[:, None]
+    coeffs = analyze_values(h)
+    signs_differ = 0
+    for a in range(n):
+        w = _walsh_columns([a], resolution)
+        for mask in range(1, 2 << resolution):
+            column, lo, hi = _mask_ranges(np.array([mask]), resolution)
+            base = (a ^ lo) & ~(hi - lo - 1)
+            ranges = (column, base, base + hi - lo)
+            moved = _gather_synthesis(coeffs, np.array([a]), np.array([0]), *ranges)
+            (projection,) = project_columns(h, column[None], lo[None], hi[None])
+            assert np.array_equal(moved[rev], w * projection[rev]), (a, mask)
+            signs_differ += moved[rev].tobytes() != (w * projection[rev]).tobytes()
+    assert signs_differ
