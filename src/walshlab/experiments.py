@@ -4,10 +4,13 @@ Every campaign is driven by an `ExperimentConfig` that fully determines the
 run: per-trial generators are seeded by (master seed, trial index, stream),
 so two runs with equal configs produce identical reports and the result does
 not depend on scheduling.  A run seeds its keys in batches (`_generators`):
-the SeedSequence and PCG64 states of a batch of keys are computed together,
-and one reused Generator is re-targeted to each key in turn, drawing exactly
-as `rng_for(key)` would.  Each key's draws are therefore used up before the
-next key is taken.
+the SeedSequence and PCG64 states of a batch of keys are computed together
+in numpy, as uint64 limbs (`_pcg_limbs`), and one reused Generator is
+re-targeted to each key in turn, drawing exactly as `rng_for(key)` would.
+Each key's draws are therefore used up before the next key is taken.  The
+campaigns' interval families skip the Generator: `_family_block` steps the
+limbs of a block of keys (seed, t, 1) and applies numpy's bounded-integer
+and sampling rules to their words, with the bits of `rng.choice`.
 
 Campaigns separate "asserted" bounds, where the underlying identity pins an
 exact constant (orthogonality at p = 2, the pointwise sharp bound with
@@ -22,8 +25,11 @@ trials, and the chunk is transformed, reduced and normed together.
 Neither the runners nor the basis sweep build a grid wrapper
 (`DyadicFunction`, `SeqFunction`, `LatticeFunction`).  The runners hold a
 chunk's interval families as one (T, count, 2) int array of [lo, hi)
-rows, each trial's drawn by `_family_ends` from its stream-1 generator,
-and the block sums and segment transforms take their anchors and
+rows, drawn `_SEED_BATCH` trials at a time by `_family_block` from the
+keys (seed, t, 1), so stream 1 is not among the keys a runner seeds one
+by one; each row equals the per-trial draw `_family_ends` of that key,
+which the kernel still takes for the rare rows it cannot reproduce.  The
+block sums and segment transforms take their anchors and
 left-level bitmasks from those endpoints (`intervals.left_level_masks`):
 no `IntInterval` or `Decomposition` is built and `decompose` is not
 called.  The basis sweep takes the masks of all its intervals at once
@@ -204,12 +210,14 @@ def rng_for(seed, *key) -> np.random.Generator:
 
 _SEED_BATCH = 256  # keys whose generator states are computed together
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+# numpy's SeedSequence (pool of 4 uint32 words) constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# PCG64's 128-bit multiplier as two uint64 limbs, and its low limb's 32-bit halves
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
 
 
 def _key_words(key) -> list[int]:
@@ -269,16 +277,65 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.stack([words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)], 1)
 
 
-def _pcg_states(keys: list):
-    """Yield (state, inc) of `np.random.PCG64(SeedSequence(key))` for each key."""
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64 limbs.
+
+    The high limb takes the high half of lo * multiplier-low from 32-bit
+    partial products, which numpy's uint64 arithmetic holds without loss.
+    """
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    p01, p10 = lo0 * _PCG_MULT_LO1, lo1 * _PCG_MULT_LO0
+    mid = (lo0 * _PCG_MULT_LO0 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = lo1 * _PCG_MULT_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _pcg_limbs(entropy: np.ndarray) -> np.ndarray:
+    """The state and inc of `np.random.PCG64(SeedSequence(row))` for every row
+    of a (keys, words) uint32 entropy array, as a (4, keys) uint64 array of
+    limbs: state high, state low, inc high, inc low."""
+    w0, w1, w2, w3 = _seed_states(entropy).T
+    inc_hi, inc_lo = w2 << np.uint64(1) | w3 >> np.uint64(63), w3 << np.uint64(1) | np.uint64(1)
+    # PCG64 seeding: state = inc + seed, then one step
+    lo = inc_lo + w1
+    hi, lo = _pcg_step(inc_hi + w0 + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return np.stack((hi, lo, inc_hi, inc_lo))
+
+
+def _key_limbs(keys: list) -> np.ndarray:
+    """`_pcg_limbs` of the keys, tuples of non-negative ints of any widths."""
     words = [_key_words(key) for key in keys]
-    seeds = np.empty((len(keys), 4), dtype=np.uint64)
+    limbs = np.empty((4, len(keys)), dtype=np.uint64)
     for width in set(map(len, words)):
         rows = [i for i, w in enumerate(words) if len(w) == width]
-        seeds[rows] = _seed_states(np.array([words[i] for i in rows], dtype=np.uint32))
-    for w0, w1, w2, w3 in seeds.tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc
+        limbs[:, rows] = _pcg_limbs(np.array([words[i] for i in rows], dtype=np.uint32))
+    return limbs
+
+
+def _pcg_words(limbs: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` 64-bit outputs (`random_raw`) of every key of a (4,
+    keys) limb array, as a (count, keys) uint64 array: step, then XSL-RR."""
+    hi, lo, inc_hi, inc_lo = limbs
+    words = np.empty((count, limbs.shape[1]), dtype=np.uint64)
+    for row in words:
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xsl, rot = hi ^ lo, hi >> np.uint64(58)
+        np.bitwise_or(xsl >> rot, xsl << (-rot & np.uint64(63)), out=row)
+    return words
+
+
+def _retarget(rng: np.random.Generator, limbs: np.ndarray):
+    """Yield `rng` re-targeted to each key of a (4, keys) limb array in turn,
+    with no buffered uint32, so that it draws as a fresh generator of the key."""
+    state = {"state": 0, "inc": 0}
+    target = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    bitgen = rng.bit_generator
+    for hi, lo, inc_hi, inc_lo in zip(*limbs.tolist()):
+        state["state"], state["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
+        bitgen.state = target
+        yield rng
 
 
 def _generators(keys):
@@ -286,39 +343,65 @@ def _generators(keys):
     `np.random.default_rng(list(key))` would.
 
     Keys are tuples of non-negative ints, read lazily and seeded
-    `_SEED_BATCH` at a time.  Every yield is the same `Generator`, re-targeted
-    to the next key, so a caller must be done drawing from one key before it
-    asks for the next.
+    `_SEED_BATCH` at a time: the SeedSequence and PCG64 states of a batch
+    are computed together as uint64 limbs (`_key_limbs`), the states the
+    family kernel (`_family_block`) draws from.  Every yield is the same
+    `Generator`, re-targeted to the next key, so a caller must be done
+    drawing from one key before it asks for the next.
     """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    state = {"state": 0, "inc": 0}
-    target = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(np.random.PCG64(0))
     keys = iter(keys)
     while batch := list(itertools.islice(keys, _SEED_BATCH)):
-        for state["state"], state["inc"] in _pcg_states(batch):
-            bitgen.state = target
-            yield rng
+        yield from _retarget(rng, _key_limbs(batch))
 
 
 def _chunked_trials(
-    cfg: ExperimentConfig, chunk, streams, cells: int, start: int = 0, live: int | None = None
+    cfg: ExperimentConfig,
+    chunk,
+    streams,
+    cells: int,
+    start: int = 0,
+    live: int | None = None,
+    families: bool = True,
 ):
-    """Trial records of `chunk(cfg, ts, rngs)` over the budgeted chunks ts of
-    the trials, `cells` floats a trial (`column_chunks`).
+    """Trial records of `chunk(cfg, ts, rngs, ends)` over the budgeted chunks
+    ts of the trials, `cells` floats a trial (`column_chunks`).
 
     `rngs` yields the `_generators` of the keys (cfg.seed, t, s): trial t
     from `start` on, and within a trial each stream s in the given order.
-    A config whose `live` floats a trial (by default `cells`), the most one
-    trial holds at a time, exceed `_MAX_TRIAL_FLOATS` is refused first.
+    `ends` holds the (count, 2) family rows of the chunk's trials from
+    `start` on, drawn from the keys (cfg.seed, t, 1), which are therefore
+    not among the streams.  The families are drawn `_SEED_BATCH` trials at
+    a time (`_family_block`), whatever the chunk size.  A runner without
+    families passes `families=False` and is called as `chunk(cfg, ts,
+    rngs)`.  A config whose `live` floats a trial (by default `cells`), the
+    most one trial holds at a time, exceed `_MAX_TRIAL_FLOATS` is refused
+    first.
     """
     sizes = {name: getattr(cfg, name) for name in ("resolution", "count", "dim", "components")}
     _check_trial_floats(cells if live is None else live, **sizes)
     rngs = _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
+    chunks = [range(sl.start, sl.stop) for sl in column_chunks(cfg.trials, cells)]
+    extra = zip(_family_runs(cfg, start, chunks)) if families else itertools.repeat(())
     trials = []
-    for sl in column_chunks(cfg.trials, cells):
-        trials += chunk(cfg, range(sl.start, sl.stop), rngs)
+    for ts, args in zip(chunks, extra):
+        trials += chunk(cfg, ts, rngs, *args)
     return trials
+
+
+def _family_runs(cfg: ExperimentConfig, start: int, chunks: list[range]):
+    """The (T, count, 2) family rows of the T trials from `start` on of each
+    chunk in turn, drawn by `_family_block` `_SEED_BATCH` trials at a time."""
+    held = np.empty((0, cfg.count, 2), dtype=np.int64)
+    drawn = start  # the first trial whose family is not drawn yet
+    for ts in chunks:
+        length = max(0, ts.stop - max(ts.start, start))
+        while len(held) < length:
+            block = range(drawn, min(drawn + _SEED_BATCH, cfg.trials))
+            rows = _family_block(cfg.seed, block, cfg.resolution, cfg.count, cfg.family)
+            held, drawn = np.concatenate((held, rows)), block.stop
+        yield held[:length]
+        held = held[length:]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -413,24 +496,115 @@ def _check_family_fits(resolution: int, count: int, policy: str) -> None:
         )
 
 
+def _family_picks(resolution: int, count: int, policy: str) -> tuple[int, int]:
+    """(population, picks): a family draws `picks` distinct values of
+    range(population) and takes its endpoints from them (`_picked_ends`)."""
+    if policy == "random":  # endpoints in [0, size]
+        return (1 << resolution) + 1, 2 * count
+    if policy == "singletons":  # cells
+        return 1 << resolution, count
+    if policy == "dyadic":  # cells of level ceil(log2(count))
+        return 1 << max(count - 1, 0).bit_length(), count
+    # "misaligned": indices into the misaligned endpoints
+    return _misaligned_endpoints(resolution).size, 2 * count
+
+
+def _picked_ends(picks: np.ndarray, resolution: int, count: int, policy: str) -> np.ndarray:
+    """The (T, count, 2) [lo, hi) rows of T families from their sorted
+    (T, picks) draws of `_family_picks`."""
+    T = len(picks)
+    if policy == "random":
+        return picks.reshape(T, count, 2)
+    if policy == "misaligned":
+        return _misaligned_endpoints(resolution)[picks].reshape(T, count, 2)
+    # a cell of the grid, or of the dyadic level: [pos * width, (pos + 1) * width)
+    width = (1 << resolution) // _family_picks(resolution, count, policy)[0]
+    return np.stack((picks * width, (picks + 1) * width), axis=2)
+
+
 def _family_ends(rng, resolution: int, count: int, policy: str) -> np.ndarray:
     """The (count, 2) int array of [lo, hi) rows of one family drawn from
     `rng`: sorted, pairwise disjoint and inside [0, 2**N].  The count must
     fit the policy (`_check_family_fits`)."""
-    size = 1 << resolution
-    if policy == "random":
-        return np.sort(rng.choice(size + 1, size=2 * count, replace=False)).reshape(count, 2)
-    if policy == "singletons":
-        pts = np.sort(rng.choice(size, size=count, replace=False))
-        return np.stack((pts, pts + 1), axis=1)
-    if policy == "dyadic":
-        level = max(count - 1, 0).bit_length()
-        width = size >> level
-        pos = np.sort(rng.choice(1 << level, size=count, replace=False))
-        return np.stack((pos * width, (pos + 1) * width), axis=1)
-    # "misaligned", the one policy left after the capacity check
-    pts = np.sort(rng.choice(_misaligned_endpoints(resolution), 2 * count, replace=False))
-    return pts.reshape(count, 2)
+    population, picks = _family_picks(resolution, count, policy)
+    drawn = np.sort(rng.choice(population, size=picks, replace=False))
+    return _picked_ends(drawn[None], resolution, count, policy)[0]
+
+
+# Most picks a family kernel row makes.  Its Floyd loop costs O(picks**2) a
+# row: in blocks of 256 at N = 14 it took 7.5, 18.5 and 25.6 us a family at
+# 64, 96 and 128 picks, against 14.0, 22.0 and 22.8 us for the block's
+# rows through `_family_ends`.
+_FLOYD_MAX_PICKS = 96
+# numpy's `choice` without replacement shuffles the tail of a full range
+# instead of Floyd's rule when population > _TAIL_POPULATION and
+# picks > population // _TAIL_SHARE
+_TAIL_POPULATION, _TAIL_SHARE = 10_000, 50
+
+
+def _floyd_picks(words: np.ndarray, population: int, picks: int):
+    """Sorted (T, picks) draws of `choice(population, picks, replace=False)`
+    from the (words, T) first outputs of T generators, and a (T,) flag of
+    the rows whose draws this cannot reproduce.
+
+    Floyd's rule draws val_i in [0, j_i] for j_i = population - picks + i
+    and keeps val_i, or j_i if val_i is already kept.  Each draw is numpy's
+    Lemire bounded uint32 on the next 32-bit half of a word, low half
+    first, and j = 0 draws nothing.  A row is flagged where Lemire's
+    rejection pre-check fires (leftover < j + 1), which may take further
+    words.
+    """
+    first = population - picks
+    halves = np.empty((2 * len(words), words.shape[1]), dtype=np.uint64)
+    halves[0::2], halves[1::2] = words & _LOW32, words >> _SHIFT32
+    kept = np.empty((picks, words.shape[1]), dtype=np.int64)
+    flagged = np.zeros(words.shape[1], dtype=bool)
+    halves = iter(halves)
+    for i, row in enumerate(kept):
+        j = first + i
+        if j == 0:
+            row[:] = 0
+            continue
+        scaled = next(halves) * np.uint64(j + 1)
+        flagged |= (scaled & _LOW32) <= np.uint64(j)
+        val = (scaled >> _SHIFT32).astype(np.int64)
+        np.copyto(row, np.where((kept[:i] == val).any(axis=0), j, val))
+    kept.sort(axis=0)
+    return kept.T, flagged
+
+
+def _family_block(seed: int, ts: range, resolution: int, count: int, policy: str) -> np.ndarray:
+    """The (T, count, 2) family rows of the trials ts, row t equal to
+    `_family_ends(rng_for((seed, t, 1)), resolution, count, policy)`.
+
+    The keys (seed, t, 1) are seeded together (`_pcg_limbs`) and their
+    words drawn in numpy (`_pcg_words`, `_floyd_picks`).  A row goes through
+    `_family_ends` on its own re-targeted generator instead where Lemire's
+    pre-check fires, and every row does where numpy's `choice` would take
+    its tail shuffle or the picks exceed `_FLOYD_MAX_PICKS`.
+    """
+    if ts.stop <= 1 << 32:  # one entropy word per trial index
+        head = _key_words((seed,))
+        entropy = np.empty((len(ts), len(head) + 2), dtype=np.uint32)
+        entropy[:, :-2] = head
+        entropy[:, -2] = np.arange(ts.start, ts.stop)
+        entropy[:, -1] = 1
+        limbs = _pcg_limbs(entropy)
+    else:
+        limbs = _key_limbs([(seed, t, 1) for t in ts])
+    population, picks = _family_picks(resolution, count, policy)
+    tail = population > _TAIL_POPULATION and picks > population // _TAIL_SHARE
+    if tail or picks > _FLOYD_MAX_PICKS:
+        ends, redo = np.empty((len(ts), count, 2), dtype=np.int64), np.arange(len(ts))
+    else:
+        words = (picks - (population == picks) + 1) // 2  # j = 0 draws no word
+        drawn, flagged = _floyd_picks(_pcg_words(limbs, words), population, picks)
+        ends, redo = _picked_ends(drawn, resolution, count, policy), np.flatnonzero(flagged)
+    if redo.size:
+        rngs = _retarget(np.random.Generator(np.random.PCG64(0)), limbs[:, redo])
+        for r, rng in zip(redo, rngs):
+            ends[r] = _family_ends(rng, resolution, count, policy)
+    return ends
 
 
 def random_interval_family(
@@ -574,14 +748,14 @@ def _regime(p: float) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, probes) -> list[dict]:
+def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, families, probes) -> list[dict]:
     """Trial records of one budgeted chunk of scalar trials.
 
-    Each random trial is drawn from the next two generators of `rngs` (its
-    streams 0 and 1) into one row of a trial-major array, and its family
-    into one (count, 2) slot of the chunk's endpoint array; a probe family
-    of another length is padded with empty rows.  The transforms then run
-    on the whole chunk.
+    Each random trial is drawn from the next generator of `rngs` (its
+    stream 0) into one row of a trial-major array, and its family, the
+    next row of `families`, fills one (count, 2) slot of the chunk's
+    endpoint array; a probe family of another length is padded with empty
+    rows.  The transforms then run on the whole chunk.
     """
     n, T = 1 << cfg.resolution, len(ts)
     chunk_probes = probes[ts.start : ts.stop]
@@ -596,7 +770,8 @@ def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, probes) -> list[dict]:
         ends[k, : len(probe_ends)] = probe_ends
     for k in range(len(chunk_probes), T):
         rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
-        ends[k, : cfg.count] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
+    if len(families):
+        ends[len(chunk_probes) :, : cfg.count] = families
     rhs = root_means(np.abs(rows), cfg.p, cfg.p).tolist()
     sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), ends)
     lhs = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
@@ -616,7 +791,7 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     probes = _scalar_probes(cfg.resolution) if cfg.probes else []
     chunk = partial(_scalar_chunk, probes=probes)
-    trials = _chunked_trials(cfg, chunk, (0, 1), 1 << cfg.resolution, start=len(probes))
+    trials = _chunked_trials(cfg, chunk, (0,), 1 << cfg.resolution, start=len(probes))
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2:
         checks = [_bounded("ratio<=1 at p=2", worst, 1.0)]
@@ -625,21 +800,19 @@ def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, checks, regime=_regime(cfg.p))
 
 
-def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+def _pointwise_chunk(cfg: ExperimentConfig, ts: range, rngs, ends) -> list[dict]:
     """Trial records of one budgeted chunk of pointwise trials.
 
-    Each trial is drawn from the next two generators of `rngs` (its streams
-    0 and 1) into one column of a (cells, T) stack and one (S, 2) slot of a
-    (T, S, 2) endpoint array.  The block sums of every trial, anchored at
+    Each trial is drawn from the next generator of `rngs` (its stream 0)
+    into one column of a (cells, T) stack; `ends` is the chunk's (T, S, 2)
+    array of family rows.  The block sums of every trial, anchored at
     the left ends over their left-level bitmasks, form one (cells, S, T)
     stack, and the sharp and rms maximal functions run on the whole chunk.
     """
     n = 1 << cfg.resolution
     values = np.empty((n, len(ts)))
-    ends = np.empty((len(ts), cfg.count, 2), dtype=np.int64)
     for k in range(len(ts)):
         values[:, k] = _draw_cells(next(rngs), (n,), cfg.policy)
-        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
     lo, hi = ends[..., 0], ends[..., 1]
     masks = left_level_masks(lo, hi)
     sharp = sharp_maximal_stack(block_sum_stack(values, lo, masks))  # (cells, T)
@@ -663,7 +836,7 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # the budget covers the cfg.count block sums a chunk of trials keeps
-    trials = _chunked_trials(cfg, _pointwise_chunk, (0, 1), cfg.count << cfg.resolution)
+    trials = _chunked_trials(cfg, _pointwise_chunk, (0,), cfg.count << cfg.resolution)
     worst_ratio = _worst(rec["ratio"] for rec in trials)
     worst_excess = _worst((rec["excess"] for rec in trials), -np.inf)
     check = _bounded("pointwise sharp <= rms maximal (constant 1)", worst_ratio, 1.0)
@@ -671,16 +844,15 @@ def run_pointwise(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check], worst_excess=worst_excess)
 
 
-def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+def _vector_chunk(cfg: ExperimentConfig, ts: range, rngs, ends) -> list[dict]:
     """Trial records of one budgeted chunk of vector trials, each trial drawn
-    from the next two generators of `rngs` (its streams 0 and 1); the
-    projections of the chunk fill one (S, cells, T, d) stack in cell order."""
+    from the next generator of `rngs` (its stream 0) with its family rows
+    in `ends`; the projections of the chunk fill one (S, cells, T, d) stack
+    in cell order."""
     n, T = 1 << cfg.resolution, len(ts)
     values = np.empty((n, T, cfg.dim))
-    ends = np.empty((T, cfg.count, 2), dtype=np.int64)
     for k in range(T):
         values[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
-        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
     comps = np.empty((cfg.count, n, T, cfg.dim))
     rev = bit_reversal(cfg.resolution)
     for s, proj in enumerate(_interval_projections(values, ends)):
@@ -713,7 +885,7 @@ def run_vector_lpr(cfg: ExperimentConfig) -> RatioReport:
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # the budget covers all cfg.count projections a chunk of trials keeps
     cells = (cfg.count * cfg.dim) << cfg.resolution
-    trials = _chunked_trials(cfg, _vector_chunk, (0, 1), cells)
+    trials = _chunked_trials(cfg, _vector_chunk, (0,), cells)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2 and cfg.q == 2 and cfg.rad == "exact":
         check = _bounded("ratio<=1 at p=q=2 exact signs", worst, 1.0)
@@ -772,7 +944,7 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     """
     # the budget covers the components a chunk of trials draws
     cells = (cfg.components * cfg.dim) << cfg.resolution
-    trials = _chunked_trials(cfg, _lemma_chunk, range(cfg.components), cells)
+    trials = _chunked_trials(cfg, _lemma_chunk, range(cfg.components), cells, families=False)
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero:
         check = _bounded("square function contracts at p=2, d=1, mean zero", worst, 1.0)
@@ -781,12 +953,12 @@ def run_lemma_square(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check])
 
 
-def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs, ends) -> list[dict]:
     """Trial records of one budgeted chunk of weak-type trials.
 
-    Trial t draws its family and then its components from the next
-    1 + cfg.count generators of `rngs` into a (cells, T, S, d) stack; its
-    leaf norms come from its own sign seed [cfg.seed, t, 3].  The adjoint of
+    Trial t draws its components from the next cfg.count generators of
+    `rngs` into a (cells, T, S, d) stack, its family rows being in `ends`;
+    its leaf norms come from its own sign seed [cfg.seed, t, 3].  The adjoint of
     the stack, the stopping cells of every height and the adjoint of the
     (cells, T, S, H, d) bad parts then run on the whole chunk, the heights
     a budgeted chunk at a time.
@@ -794,9 +966,7 @@ def _weak11_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
     n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
     values = np.empty((n, T, S, cfg.dim))
     leaves = np.empty((T, n))
-    ends = np.empty((T, S, 2), dtype=np.int64)
     for k, t in enumerate(ts):
-        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
         for s in range(S):
             values[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
         leaves[k] = rad_norm_stack(
@@ -848,7 +1018,7 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
     # a family holds cfg.count intervals, one component g per interval
-    streams = (1, *range(10, 10 + cfg.count))
+    streams = range(10, 10 + cfg.count)
     heights = 2 * cfg.lam_halfspan + 1
     # trials are chunked over all heights, but a trial holds its components
     # and one budgeted run of heights at a time: one height from N = 14 on
@@ -860,21 +1030,19 @@ def run_weak11(cfg: ExperimentConfig) -> RatioReport:
     return _report(cfg, trials, [check], worst_support_excess=worst_excess)
 
 
-def _adjointness_chunk(cfg: ExperimentConfig, ts: range, rngs) -> list[dict]:
+def _adjointness_chunk(cfg: ExperimentConfig, ts: range, rngs, ends) -> list[dict]:
     """Trial records of one budgeted chunk of adjointness trials.
 
-    Trial t draws f, its family and its components from the next
-    2 + cfg.count generators of `rngs` into a (cells, T, d) and a (cells,
-    T, S, d) stack.  One forward and one adjoint pass transform the whole
+    Trial t draws f and its components from the next 1 + cfg.count
+    generators of `rngs` into a (cells, T, d) and a (cells, T, S, d) stack;
+    its family rows are in `ends`.  One forward and one adjoint pass transform the whole
     chunk; both pairings are taken per trial row.
     """
     n, S, T = 1 << cfg.resolution, cfg.count, len(ts)
     f = np.empty((n, T, cfg.dim))
     gs = np.empty((n, T, S, cfg.dim))
-    ends = np.empty((T, S, 2), dtype=np.int64)
     for k in range(T):
         f[:, k] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
-        ends[k] = _family_ends(next(rngs), cfg.resolution, cfg.count, cfg.family)
         for s in range(S):
             gs[:, k, s] = _draw_cells(next(rngs), (n, cfg.dim), cfg.policy)
     anchors, hi = ends.reshape(T * S, 2).T
@@ -899,7 +1067,7 @@ def run_adjointness(cfg: ExperimentConfig) -> RatioReport:
     if cfg.rad != "exact":
         raise ValueError("adjointness requires exact sign mode")
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
-    streams = (0, 1, *range(10, 10 + cfg.count))
+    streams = (0, *range(10, 10 + cfg.count))
     cells = (cfg.count * cfg.dim) << cfg.resolution
     trials = _chunked_trials(cfg, _adjointness_chunk, streams, cells)
     worst = _worst(rec["residual"] for rec in trials)

@@ -578,12 +578,13 @@ def test_trial_float_cap_accepts_up_to_its_limit():
 def test_weak11_cap_counts_the_heights_held_at_once(monkeypatch):
     # a weak11 trial holds its components and one height of bad parts at a
     # time at N = 20, so the cap counts count * dim grids, not every height;
-    # the chunk is a stub, so nothing is drawn or allocated
+    # the chunk is a stub, so only the families are drawn, one row a trial
     import walshlab.experiments as experiments
 
     chunks = []
 
-    def stub(cfg, ts, rngs):
+    def stub(cfg, ts, rngs, ends):
+        assert ends.shape == (len(ts), cfg.count, 2)
         chunks.append(ts)
         return [{"trial": t, "ratio": 1.0, "support_excess": 0.0} for t in ts]
 
@@ -675,6 +676,40 @@ def test_campaigns_build_no_grid_wrapper(monkeypatch, kind, policy):
         # the basis sweep takes its tables and spot checks from level masks too
         report = exhaustive_pointwise_basis_check(3, 2, spot_checks=50, seed=0)
         assert report["passed"] and report["spot_checks"] > 0
+
+
+class _NoChoice(np.random.Generator):
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a campaign drew with Generator.choice")
+
+
+@pytest.mark.parametrize("resolution, trials", [(3, 300), (8, 30)])
+@pytest.mark.parametrize("kind", sorted(RUNNERS))
+def test_campaigns_draw_no_family_per_trial(monkeypatch, kind, resolution, trials):
+    # the runners draw their default `random` families with the family
+    # kernel, a block of keys (seed, t, 1) at a time: the per-trial draw and
+    # Generator.choice raise while they run, and no stream-1 key reaches
+    # `_generators` (lemma draws no family; its streams are its components)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign drew a family per trial")
+
+    streams = []
+    generators = ex._generators
+
+    def recorded(keys):
+        return generators(streams.append(key[2]) or key for key in keys)
+
+    monkeypatch.setattr(ex, "_family_ends", refuse)
+    monkeypatch.setattr(np.random, "Generator", _NoChoice)
+    monkeypatch.setattr(ex, "_generators", recorded)
+    cfg = ExperimentConfig(
+        kind=kind, resolution=resolution, trials=trials, seed=3, p=4.0, dim=2, count=3,
+        components=3,
+    )
+    assert cfg.family == "random" and cfg.policy == "gaussian-cells"
+    report = RUNNERS[kind](cfg)
+    assert len(report.trials) == trials
+    assert streams and (1 in streams) == (kind == "lemma")
 
 
 def test_nan_lhs_alone_fails_scalar(monkeypatch):

@@ -3,7 +3,8 @@
 `experiments._generators` computes the SeedSequence and PCG64 states of
 many keys at once and re-targets one reused Generator per key.  Every key
 must start in the state, and give the draws, of `np.random.default_rng`
-(equivalently `rng_for`) of that key, bit for bit.
+(equivalently `rng_for`) of that key, bit for bit.  The same states, as
+uint64 limbs, feed the family kernel, whose raw PCG64 words must be numpy's.
 """
 
 import random
@@ -11,7 +12,14 @@ import random
 import numpy as np
 import pytest
 
-from walshlab.experiments import _SEED_BATCH, _generators, rng_for
+from walshlab.experiments import (
+    _SEED_BATCH,
+    _generators,
+    _key_limbs,
+    _key_words,
+    _pcg_words,
+    rng_for,
+)
 
 # 1, 1, 2, 2 and 3 uint32 words: 2**64 + 5 makes a (seed, t, s) key five
 # words long, past the pool of four
@@ -87,3 +95,30 @@ def test_negative_key_is_refused():
     # refused as its batch is seeded, before any of the batch's keys is handed out
     with pytest.raises(ValueError, match="non-negative"):
         next(_generators([(3, 0, 0), (3, 0, 1), (-2**40, 0, 0)]))
+
+
+# keys of 1 .. 6 uint32 entropy words, the widest past the pool of four
+WIDE_KEYS = [
+    (0,), (2**32 - 1,), (2**32,), (5, 7), (3, 2**32 + 1), (2**64 + 1,), (1, 2, 3),
+    (2**64 - 1, 2**32 + 9), (9, 2**96 + 3), (0, 0, 0, 0, 0), (2**160 + 4,), (4, 2**32, 2**64),
+]
+
+
+def test_key_words_span_one_to_six():
+    assert {len(_key_words(key)) for key in WIDE_KEYS} == set(range(1, 7))
+
+
+def test_limbs_are_the_seeded_states():
+    limbs = _key_limbs(WIDE_KEYS).tolist()
+    for key, (hi, lo, inc_hi, inc_lo) in zip(WIDE_KEYS, zip(*limbs)):
+        state = rng_for(key).bit_generator.state["state"]
+        assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"]), key
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_kernel_words_are_random_raw(count):
+    words = _pcg_words(_key_limbs(WIDE_KEYS), count)
+    assert words.dtype == np.uint64 and words.shape == (count, len(WIDE_KEYS))
+    for key, column in zip(WIDE_KEYS, words.T):
+        raw = np.random.PCG64(np.random.SeedSequence(list(key))).random_raw(count)
+        assert column.tobytes() == raw.tobytes(), key
