@@ -3,14 +3,15 @@
 Every campaign is driven by an `ExperimentConfig` that fully determines the
 run: per-trial generators are seeded by (master seed, trial index, stream),
 so two runs with equal configs produce identical reports and the result does
-not depend on scheduling.  A run seeds its keys in batches (`_generators`):
-the SeedSequence and PCG64 states of a batch of keys are computed together
-in numpy, as uint64 limbs (`_pcg_limbs`), and one reused Generator is
-re-targeted to each key in turn, drawing exactly as `rng_for(key)` would.
-Each key's draws are therefore used up before the next key is taken.  The
-campaigns' interval families skip the Generator: `_family_block` steps the
-limbs of a block of keys (seed, t, 1) and applies numpy's bounded-integer
-and sampling rules to their words, with the bits of `rng.choice`.
+not depend on scheduling.  A run seeds its keys `_SEED_BATCH` trials at a
+time: the SeedSequence and PCG64 states of the keys (seed, t, s) of a batch
+are computed together in numpy from one entropy array, as uint64 limbs
+(`_trial_limbs`), and one reused Generator is re-targeted to each key in
+turn (`_retarget`), drawing exactly as `rng_for(key)` would.  Each key's
+draws are therefore used up before the next key is taken.  The campaigns'
+interval families skip the Generator: `_family_block` steps the limbs of
+the keys (seed, t, 1) of a batch and applies numpy's bounded-integer and
+sampling rules to their words, with the bits of `rng.choice`.
 
 Campaigns separate "asserted" bounds, where the underlying identity pins an
 exact constant (orthogonality at p = 2, the pointwise sharp bound with
@@ -25,17 +26,19 @@ trials, and the chunk is transformed, reduced and normed together.
 Neither the runners nor the basis sweep build a grid wrapper
 (`DyadicFunction`, `SeqFunction`, `LatticeFunction`).  The runners hold a
 chunk's interval families as one (T, count, 2) int array of [lo, hi)
-rows, drawn `_SEED_BATCH` trials at a time by `_family_block` from the
-keys (seed, t, 1), so stream 1 is not among the keys a runner seeds one
-by one; each row equals the per-trial draw `_family_ends` of that key,
-which the kernel still takes for the rare rows it cannot reproduce.  The
+rows, drawn for the chunk's seed batch (`_chunked_trials`, whose chunks
+never cross a batch) by `_family_block` from the keys (seed, t, 1), so
+stream 1 is not among the keys a runner re-targets its Generator to; each
+row equals the per-trial draw `_family_ends` of that key, which the
+kernel still takes for the rare rows it cannot reproduce.  The
 block sums and segment transforms take their anchors and
 left-level bitmasks from those endpoints (`intervals.left_level_masks`):
 no `IntInterval` or `Decomposition` is built and `decompose` is not
 called.  The basis sweep takes the masks of all its intervals at once
 and builds its capture table and spot checks from them, with no
 `Decomposition` either.  `verify_identities` stays on the verified route
-through `family_decompose`.  A config whose trial would hold more than
+through `family_decompose`, and draws each of its keys from a fresh
+`rng_for` generator.  A config whose trial would hold more than
 `_MAX_TRIAL_FLOATS` floats at a time is refused before any draw.  `pointwise` stacks
 the block sums of a chunk as (cells, S, T) for the stack kernels of
 `operators`; `lemma` draws into a (T, S, cells, d) buffer, removes the cell
@@ -208,7 +211,7 @@ def rng_for(seed, *key) -> np.random.Generator:
 # Seeded generators
 # ---------------------------------------------------------------------------
 
-_SEED_BATCH = 256  # keys whose generator states are computed together
+_SEED_BATCH = 256  # trials whose keys are seeded together
 _MASK32 = 0xFFFFFFFF
 # numpy's SeedSequence (pool of 4 uint32 words) constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -304,14 +307,30 @@ def _pcg_limbs(entropy: np.ndarray) -> np.ndarray:
     return np.stack((hi, lo, inc_hi, inc_lo))
 
 
-def _key_limbs(keys: list) -> np.ndarray:
-    """`_pcg_limbs` of the keys, tuples of non-negative ints of any widths."""
-    words = [_key_words(key) for key in keys]
-    limbs = np.empty((4, len(keys)), dtype=np.uint64)
-    for width in set(map(len, words)):
-        rows = [i for i, w in enumerate(words) if len(w) == width]
-        limbs[:, rows] = _pcg_limbs(np.array([words[i] for i in rows], dtype=np.uint32))
-    return limbs
+def _trial_limbs(seed: int, ts: range, streams) -> np.ndarray:
+    """`_pcg_limbs` of the keys (seed, t, s) for t in ts and s in streams,
+    trial-major: column k * len(streams) + j is (seed, ts[k], streams[j]).
+
+    A key's entropy is the seed's `_key_words`, then t as one uint32 word
+    (two from 2**32 on), then s as one word; ts is split at 2**32, and each
+    part is seeded as one (keys, words) array.
+    """
+    head = _key_words((seed,))
+    tail = np.asarray(streams, dtype=np.uint32)
+    parts = [np.empty((4, 0), dtype=np.uint64)]
+    for width, lo, hi in ((1, 0, 1 << 32), (2, 1 << 32, 1 << 64)):
+        part = range(max(ts.start, lo), min(ts.stop, hi))
+        if not part:
+            continue
+        t = np.arange(part.start, part.stop, dtype=np.uint64)[:, None]
+        entropy = np.empty((len(part), len(tail), len(head) + width + 1), dtype=np.uint32)
+        entropy[..., : len(head)] = head
+        entropy[..., len(head)] = t & _LOW32
+        if width == 2:
+            entropy[..., len(head) + 1] = t >> _SHIFT32
+        entropy[..., -1] = tail
+        parts.append(_pcg_limbs(entropy.reshape(-1, entropy.shape[-1])))
+    return np.concatenate(parts, axis=1)
 
 
 def _pcg_words(limbs: np.ndarray, count: int) -> np.ndarray:
@@ -327,8 +346,11 @@ def _pcg_words(limbs: np.ndarray, count: int) -> np.ndarray:
 
 
 def _retarget(rng: np.random.Generator, limbs: np.ndarray):
-    """Yield `rng` re-targeted to each key of a (4, keys) limb array in turn,
-    with no buffered uint32, so that it draws as a fresh generator of the key."""
+    """Yield `rng` re-targeted to each key of a (4, keys) limb array in turn
+    (`_trial_limbs`), with no buffered uint32, so that it draws as a fresh
+    generator of the key, `rng_for(key)`.  Every yield is the same
+    Generator: a caller must be done drawing from one key before it asks
+    for the next."""
     state = {"state": 0, "inc": 0}
     target = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     bitgen = rng.bit_generator
@@ -336,23 +358,6 @@ def _retarget(rng: np.random.Generator, limbs: np.ndarray):
         state["state"], state["inc"] = hi << 64 | lo, inc_hi << 64 | inc_lo
         bitgen.state = target
         yield rng
-
-
-def _generators(keys):
-    """One generator per key, in key order, each drawing as
-    `np.random.default_rng(list(key))` would.
-
-    Keys are tuples of non-negative ints, read lazily and seeded
-    `_SEED_BATCH` at a time: the SeedSequence and PCG64 states of a batch
-    are computed together as uint64 limbs (`_key_limbs`), the states the
-    family kernel (`_family_block`) draws from.  Every yield is the same
-    `Generator`, re-targeted to the next key, so a caller must be done
-    drawing from one key before it asks for the next.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    keys = iter(keys)
-    while batch := list(itertools.islice(keys, _SEED_BATCH)):
-        yield from _retarget(rng, _key_limbs(batch))
 
 
 def _chunked_trials(
@@ -367,41 +372,34 @@ def _chunked_trials(
     """Trial records of `chunk(cfg, ts, rngs, ends)` over the budgeted chunks
     ts of the trials, `cells` floats a trial (`column_chunks`).
 
-    `rngs` yields the `_generators` of the keys (cfg.seed, t, s): trial t
-    from `start` on, and within a trial each stream s in the given order.
-    `ends` holds the (count, 2) family rows of the chunk's trials from
-    `start` on, drawn from the keys (cfg.seed, t, 1), which are therefore
-    not among the streams.  The families are drawn `_SEED_BATCH` trials at
-    a time (`_family_block`), whatever the chunk size.  A runner without
-    families passes `families=False` and is called as `chunk(cfg, ts,
-    rngs)`.  A config whose `live` floats a trial (by default `cells`), the
-    most one trial holds at a time, exceed `_MAX_TRIAL_FLOATS` is refused
-    first.
+    The trials run in batches of `_SEED_BATCH`, aligned at multiples of it
+    from trial 0, and the chunks of a batch lie inside it.  A batch seeds
+    the keys (cfg.seed, t, s) of its trials from `start` on together
+    (`_trial_limbs`), and `rngs` yields them re-targeted in turn
+    (`_retarget`): trial by trial, and within a trial each stream s in the
+    given order.  `ends` holds the (count, 2) family rows of the chunk's
+    trials from `start` on, drawn for the whole batch from the keys
+    (cfg.seed, t, 1) by `_family_block`, so stream 1 is not among the
+    streams.  A runner without families passes `families=False` and is
+    called as `chunk(cfg, ts, rngs)`.  A config whose `live` floats a trial
+    (by default `cells`), the most one trial holds at a time, exceed
+    `_MAX_TRIAL_FLOATS` is refused first.
     """
     sizes = {name: getattr(cfg, name) for name in ("resolution", "count", "dim", "components")}
     _check_trial_floats(cells if live is None else live, **sizes)
-    rngs = _generators((cfg.seed, t, s) for t in range(start, cfg.trials) for s in streams)
-    chunks = [range(sl.start, sl.stop) for sl in column_chunks(cfg.trials, cells)]
-    extra = zip(_family_runs(cfg, start, chunks)) if families else itertools.repeat(())
+    rng = np.random.Generator(np.random.PCG64(0))
     trials = []
-    for ts, args in zip(chunks, extra):
-        trials += chunk(cfg, ts, rngs, *args)
+    for first in range(0, cfg.trials, _SEED_BATCH):
+        batch = range(first, min(first + _SEED_BATCH, cfg.trials))
+        drawn = range(max(first, start), max(batch.stop, start))
+        rngs = _retarget(rng, _trial_limbs(cfg.seed, drawn, streams))
+        if families:
+            ends = _family_block(cfg.seed, drawn, cfg.resolution, cfg.count, cfg.family)
+        for sl in column_chunks(len(batch), cells):
+            ts = batch[sl]
+            rows = slice(max(ts.start, start) - drawn.start, max(ts.stop, start) - drawn.start)
+            trials += chunk(cfg, ts, rngs, ends[rows]) if families else chunk(cfg, ts, rngs)
     return trials
-
-
-def _family_runs(cfg: ExperimentConfig, start: int, chunks: list[range]):
-    """The (T, count, 2) family rows of the T trials from `start` on of each
-    chunk in turn, drawn by `_family_block` `_SEED_BATCH` trials at a time."""
-    held = np.empty((0, cfg.count, 2), dtype=np.int64)
-    drawn = start  # the first trial whose family is not drawn yet
-    for ts in chunks:
-        length = max(0, ts.stop - max(ts.start, start))
-        while len(held) < length:
-            block = range(drawn, min(drawn + _SEED_BATCH, cfg.trials))
-            rows = _family_block(cfg.seed, block, cfg.resolution, cfg.count, cfg.family)
-            held, drawn = np.concatenate((held, rows)), block.stop
-        yield held[:length]
-        held = held[length:]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -577,21 +575,13 @@ def _family_block(seed: int, ts: range, resolution: int, count: int, policy: str
     """The (T, count, 2) family rows of the trials ts, row t equal to
     `_family_ends(rng_for((seed, t, 1)), resolution, count, policy)`.
 
-    The keys (seed, t, 1) are seeded together (`_pcg_limbs`) and their
+    The keys (seed, t, 1) are seeded together (`_trial_limbs`) and their
     words drawn in numpy (`_pcg_words`, `_floyd_picks`).  A row goes through
     `_family_ends` on its own re-targeted generator instead where Lemire's
     pre-check fires, and every row does where numpy's `choice` would take
     its tail shuffle or the picks exceed `_FLOYD_MAX_PICKS`.
     """
-    if ts.stop <= 1 << 32:  # one entropy word per trial index
-        head = _key_words((seed,))
-        entropy = np.empty((len(ts), len(head) + 2), dtype=np.uint32)
-        entropy[:, :-2] = head
-        entropy[:, -2] = np.arange(ts.start, ts.stop)
-        entropy[:, -1] = 1
-        limbs = _pcg_limbs(entropy)
-    else:
-        limbs = _key_limbs([(seed, t, 1) for t in ts])
+    limbs = _trial_limbs(seed, ts, (1,))
     population, picks = _family_picks(resolution, count, policy)
     tail = population > _TAIL_POPULATION and picks > population // _TAIL_SHARE
     if tail or picks > _FLOYD_MAX_PICKS:
@@ -1117,24 +1107,18 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
     norm_ratios = []
     n = 1 << resolution
     # per trial t the keys (seed, t), (seed, t, 0), (seed, t, 1); then the
-    # function and family of the mean truncation sweep
-    rngs = _generators(
-        itertools.chain(
-            ((seed, t, *s) for t in range(trials) for s in ((), (0,), (1,))),
-            ((seed, trials, 0), (seed, trials, 1)),
-        )
-    )
+    # keys (seed, trials, 0) and (seed, trials, 1) of the mean truncation sweep
     for t in range(trials):
         # every draw of the key (seed, t), in the order the checks use them
-        rng = next(rngs)
+        rng = rng_for(seed, t)
         count = int(rng.integers(1, max_count + 1))
         offset = rng.standard_normal(count)  # one per block sum
         level = int(rng.integers(1, resolution + 1))
         cell = DyadicCell(level, int(rng.integers(0, 1 << level)))
         noise = rng.standard_normal(n - (n >> level))  # off the cell
         a = int(rng.integers(0, n))
-        f = random_function(next(rngs), resolution, "gaussian-cells")
-        intervals = random_interval_family(next(rngs), resolution, count)
+        f = random_function((seed, t, 0), resolution, "gaussian-cells")
+        intervals = random_interval_family((seed, t, 1), resolution, count)
         decs = family_decompose(intervals)
 
         for dec in decs:
@@ -1201,8 +1185,8 @@ def verify_identities(resolution: int = 8, trials: int = 50, seed: int = 0) -> d
 
     # mean truncation sweep at a coarse resolution, all dyadic cells
     res6 = min(resolution, 6)
-    f6 = random_function(next(rngs), res6, "gaussian-cells")
-    intervals6 = random_interval_family(next(rngs), res6, 2)
+    f6 = random_function((seed, trials, 0), res6, "gaussian-cells")
+    intervals6 = random_interval_family((seed, trials, 1), res6, 2)
     for dec in family_decompose(intervals6):
         if not dec.left_levels:
             continue

@@ -468,13 +468,6 @@ def _sign_averaged_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return acc / total
 
 
-def _sign_averaged_pairing(
-    left: Sequence[LatticeFunction], right: Sequence[LatticeFunction]
-) -> float:
-    """`_sign_averaged_pairings` of one pair of component families."""
-    return float(_sign_averaged_pairings(_stacked(left)[:, None], _stacked(right)[:, None])[0])
-
-
 def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
     """Integral over [0,1) of the coordinatewise dot product."""
     f._check_compatible(g)

@@ -507,6 +507,36 @@ def test_lemma_matches_per_trial(budget, resolution, dim, p, q, components, mean
     _same_report(cfg, reference_lemma)
 
 
+@pytest.mark.parametrize("step", [None, 3])
+@pytest.mark.parametrize("kind", sorted(ex.RUNNERS))
+def test_reports_do_not_depend_on_the_seed_batch(monkeypatch, kind, step):
+    # 21 trials in seed batches of 1, 5 and 256 trials: with 5 the scalar
+    # run's first batch holds only probes (it has 6) and draws no trial; a
+    # chunk step of 3 divides neither 5 nor 256
+    cfg = ExperimentConfig(
+        kind=kind, resolution=3, trials=21, seed=7, p=4.0, dim=2, count=3, components=3,
+    )
+    assert len(ex._scalar_probes(cfg.resolution)) == 6
+    if step:
+        # the floats a trial of each runner budgets for
+        grid = cfg.dim << cfg.resolution
+        cells = {
+            "scalar": 1 << cfg.resolution,
+            "pointwise": cfg.count << cfg.resolution,
+            "vector": cfg.count * grid,
+            "lemma": cfg.components * grid,
+            "weak11": cfg.count * grid * (2 * cfg.lam_halfspan + 1),
+            "adjoint": cfg.count * grid,
+        }[kind]
+        monkeypatch.setattr(walsh, "COLUMN_BUDGET", step * cells)
+        assert walsh.column_chunks(cfg.trials, cells)[0] == slice(0, step)
+    reports = []
+    for batch in (1, 5, 256):
+        monkeypatch.setattr(ex, "_SEED_BATCH", batch)
+        reports.append(report_json_lines(ex.RUNNERS[kind](cfg), timestamp=""))
+    assert reports[0] == reports[1] == reports[2]
+
+
 # each id also names the public front that draws a trial's cells as `_draw_cells` does
 @pytest.mark.parametrize(
     "kind",

@@ -452,6 +452,9 @@ def test_report_csv_quotes_values():
 def test_verify_identities_report():
     report = verify_identities(resolution=6, trials=10, seed=3)
     assert report["passed"]
+    # the whole report, bit for bit, as the per-key route drew it
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "9e86059f51ef4bf3c3e42e2ce0b63bb6c24d9b9b24c49d7c357c1b630d3935dd"
     names = {c["name"] for c in report["checks"]}
     assert "projection_identity" in names
     assert "pointwise_sharp_vs_rms" in names
@@ -688,20 +691,32 @@ class _NoChoice(np.random.Generator):
 def test_campaigns_draw_no_family_per_trial(monkeypatch, kind, resolution, trials):
     # the runners draw their default `random` families with the family
     # kernel, a block of keys (seed, t, 1) at a time: the per-trial draw and
-    # Generator.choice raise while they run, and no stream-1 key reaches
-    # `_generators` (lemma draws no family; its streams are its components)
+    # Generator.choice raise while they run, and outside the kernel no
+    # stream-1 key is seeded by `_trial_limbs` (lemma draws no family; its
+    # streams are its components)
     def refuse(*args, **kwargs):
         raise AssertionError("a campaign drew a family per trial")
 
-    streams = []
-    generators = ex._generators
+    streams, kernel_calls, inside = [], [], []
+    trial_limbs, family_block = ex._trial_limbs, ex._family_block
 
-    def recorded(keys):
-        return generators(streams.append(key[2]) or key for key in keys)
+    def recorded(seed, ts, key_streams):
+        if not inside:
+            streams.extend(key_streams)
+        return trial_limbs(seed, ts, key_streams)
+
+    def kernel(*args):
+        kernel_calls.append(args)
+        inside.append(True)
+        try:
+            return family_block(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(ex, "_family_ends", refuse)
     monkeypatch.setattr(np.random, "Generator", _NoChoice)
-    monkeypatch.setattr(ex, "_generators", recorded)
+    monkeypatch.setattr(ex, "_trial_limbs", recorded)
+    monkeypatch.setattr(ex, "_family_block", kernel)
     cfg = ExperimentConfig(
         kind=kind, resolution=resolution, trials=trials, seed=3, p=4.0, dim=2, count=3,
         components=3,
@@ -710,6 +725,7 @@ def test_campaigns_draw_no_family_per_trial(monkeypatch, kind, resolution, trial
     report = RUNNERS[kind](cfg)
     assert len(report.trials) == trials
     assert streams and (1 in streams) == (kind == "lemma")
+    assert bool(kernel_calls) == (kind != "lemma")
 
 
 def test_nan_lhs_alone_fails_scalar(monkeypatch):

@@ -19,8 +19,8 @@ from walshlab.experiments import (
     _family_ends,
     _family_picks,
     _floyd_picks,
-    _key_limbs,
     _pcg_words,
+    _trial_limbs,
     rng_for,
 )
 
@@ -77,7 +77,7 @@ def test_lemire_precheck_row_goes_through_the_per_trial_draw(monkeypatch):
     # numpy then draws another word, and the kernel's words alone are wrong
     seed, ts, resolution, count = 3, range(398, 403), 20, 5
     population, picks = _family_picks(resolution, count, "random")
-    limbs = _key_limbs([(seed, t, 1) for t in ts])
+    limbs = _trial_limbs(seed, ts, (1,))
     drawn, flagged = _floyd_picks(_pcg_words(limbs, picks // 2), population, picks)
     assert flagged.tolist() == [False, False, True, False, False]
     want = reference(seed, ts, resolution, count, "random")
@@ -98,7 +98,7 @@ def test_tail_shuffle_configs_go_through_the_per_trial_draw(monkeypatch):
     check_block(0, ts, resolution, 163, "random")
     assert calls == []
     population, picks = _family_picks(resolution, 164, "random")
-    limbs = _key_limbs([(0, t, 1) for t in ts])
+    limbs = _trial_limbs(0, ts, (1,))
     drawn, flagged = _floyd_picks(_pcg_words(limbs, picks // 2), population, picks)
     want = reference(0, ts, resolution, 164, "random")
     assert not flagged.any() and not np.array_equal(drawn, want.reshape(len(ts), -1))

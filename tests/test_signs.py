@@ -16,8 +16,9 @@ from walshlab.lattice import (
     MC_SAMPLE_LIMIT,
     LatticeFunction,
     _mc_samples,
-    _sign_averaged_pairing,
+    _sign_averaged_pairings,
     _sign_chunks,
+    _stacked,
     rad_norm_stack,
     rad_norm_values,
 )
@@ -147,7 +148,7 @@ def test_pairing_matches_every_row(resolution, dim, counts):
     for count in counts:
         tf = components(count, resolution, dim, 2.0, seed=count)
         gs = components(count, resolution, dim, 2.0, seed=100 + count)
-        got = _sign_averaged_pairing(tf, gs)
+        got = _sign_averaged_pairings(_stacked(tf)[:, None], _stacked(gs)[:, None])[0]
         want = reference_pairing(tf, gs)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), count
 
