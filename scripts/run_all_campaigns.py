@@ -2,10 +2,14 @@
 """Run every verification campaign at laptop scale and write reports.
 
 Writes one JSONL report per campaign into the output directory plus a
-combined summary CSV.  Exit code 0 iff every asserted bound passed.
+combined summary CSV, one row per campaign over the union of the columns of
+their `report_csv` rows, in first-seen order; a row leaves the columns it
+lacks empty.  Exit code 0 iff every asserted bound passed.
 """
 
 import argparse
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -45,7 +49,7 @@ def main() -> int:
         report = RUNNERS[cfg.kind](cfg)
         name = f"{cfg.kind}_p{cfg.p:g}_q{cfg.q:g}_d{cfg.dim}"
         write_report(report, str(out_dir / f"{name}.jsonl"), "json")
-        csv_rows.append(report_csv(report, timestamp="").strip().split("\n"))
+        csv_rows.append(next(csv.DictReader(io.StringIO(report_csv(report, timestamp="")))))
         status = "pass" if report.passed else "FAIL"
         print(
             f"{status}  {name:28s} max={report.summary['max']:.6f} "
@@ -53,11 +57,11 @@ def main() -> int:
         )
         all_passed &= report.passed
 
-    header = csv_rows[0][0]
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write(header + "\n")
-        for _, row in csv_rows:
-            fh.write(row + "\n")
+    columns = list(dict.fromkeys(name for row in csv_rows for name in row))
+    with open(out_dir / "summary.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(csv_rows)
     print(f"reports in {out_dir}/")
     return 0 if all_passed else 1
 

@@ -26,7 +26,6 @@ from .operators import (
     SeqFunction,
     block_sum,
     block_sum_family,
-    maximal_function,
     rms_maximal,
     sharp_maximal,
     square_function,
@@ -37,8 +36,6 @@ from .lattice import (
     cz_decompose,
     duality_pairing,
     lattice_norm,
-    lp_radx_norm,
-    lp_x_norm,
     rad_norm_values,
     segment_transform,
     segment_transform_adjoint,

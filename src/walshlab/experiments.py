@@ -69,7 +69,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -372,14 +372,13 @@ def _chunked_trials(
     """Trial records of `chunk(cfg, ts, rngs, ends)` over the budgeted chunks
     ts of the trials, `cells` floats a trial (`column_chunks`).
 
-    The trials run in batches of `_SEED_BATCH`, aligned at multiples of it
-    from trial 0, and the chunks of a batch lie inside it.  A batch seeds
-    the keys (cfg.seed, t, s) of its trials from `start` on together
-    (`_trial_limbs`), and `rngs` yields them re-targeted in turn
-    (`_retarget`): trial by trial, and within a trial each stream s in the
-    given order.  `ends` holds the (count, 2) family rows of the chunk's
-    trials from `start` on, drawn for the whole batch from the keys
-    (cfg.seed, t, 1) by `_family_block`, so stream 1 is not among the
+    The trials from `start` on run in batches of `_SEED_BATCH`, and the
+    chunks of a batch lie inside it.  A batch seeds the keys
+    (cfg.seed, t, s) of its trials together (`_trial_limbs`), and `rngs`
+    yields them re-targeted in turn (`_retarget`): trial by trial, and
+    within a trial each stream s in the given order.  `ends` holds the
+    chunk's (T, count, 2) family rows, drawn for the whole batch from the
+    keys (cfg.seed, t, 1) by `_family_block`, so stream 1 is not among the
     streams.  A runner without families passes `families=False` and is
     called as `chunk(cfg, ts, rngs)`.  A config whose `live` floats a trial
     (by default `cells`), the most one trial holds at a time, exceed
@@ -389,16 +388,14 @@ def _chunked_trials(
     _check_trial_floats(cells if live is None else live, **sizes)
     rng = np.random.Generator(np.random.PCG64(0))
     trials = []
-    for first in range(0, cfg.trials, _SEED_BATCH):
+    for first in range(start, cfg.trials, _SEED_BATCH):
         batch = range(first, min(first + _SEED_BATCH, cfg.trials))
-        drawn = range(max(first, start), max(batch.stop, start))
-        rngs = _retarget(rng, _trial_limbs(cfg.seed, drawn, streams))
+        rngs = _retarget(rng, _trial_limbs(cfg.seed, batch, streams))
         if families:
-            ends = _family_block(cfg.seed, drawn, cfg.resolution, cfg.count, cfg.family)
+            ends = _family_block(cfg.seed, batch, cfg.resolution, cfg.count, cfg.family)
         for sl in column_chunks(len(batch), cells):
-            ts = batch[sl]
-            rows = slice(max(ts.start, start) - drawn.start, max(ts.stop, start) - drawn.start)
-            trials += chunk(cfg, ts, rngs, ends[rows]) if families else chunk(cfg, ts, rngs)
+            args = (ends[sl],) if families else ()
+            trials += chunk(cfg, batch[sl], rngs, *args)
     return trials
 
 
@@ -738,30 +735,10 @@ def _regime(p: float) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, families, probes) -> list[dict]:
-    """Trial records of one budgeted chunk of scalar trials.
-
-    Each random trial is drawn from the next generator of `rngs` (its
-    stream 0) into one row of a trial-major array, and its family, the
-    next row of `families`, fills one (count, 2) slot of the chunk's
-    endpoint array; a probe family of another length is padded with empty
-    rows.  The transforms then run on the whole chunk.
-    """
-    n, T = 1 << cfg.resolution, len(ts)
-    chunk_probes = probes[ts.start : ts.stop]
-    cases = [case for case, _, _ in chunk_probes] + [cfg.policy] * (T - len(chunk_probes))
-    lengths = [len(probe_ends) for _, _, probe_ends in chunk_probes]
-    if len(chunk_probes) < T:
-        lengths.append(cfg.count)
-    rows = np.empty((T, n))  # trial-major for the means
-    ends = np.zeros((T, max(lengths), 2), dtype=np.int64)
-    for k, (_, probe_values, probe_ends) in enumerate(chunk_probes):
-        rows[k] = probe_values
-        ends[k, : len(probe_ends)] = probe_ends
-    for k in range(len(chunk_probes), T):
-        rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
-    if len(families):
-        ends[len(chunk_probes) :, : cfg.count] = families
+def _scalar_records(cfg: ExperimentConfig, ts: range, cases, rows, ends) -> list[dict]:
+    """Trial records of the scalar trials ts, whose cell values are the rows
+    of a trial-major (T, cells) array and whose families are the (T, S, 2)
+    endpoint array `ends`; the transforms run on all of them at once."""
     rhs = root_means(np.abs(rows), cfg.p, cfg.p).tolist()
     sq = _sq_sum_of_projections(np.ascontiguousarray(rows.T), ends)
     lhs = root_means(np.ascontiguousarray(sq.T), cfg.p, cfg.p / 2.0).tolist()
@@ -771,17 +748,38 @@ def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, families, probes) -> l
     ]
 
 
+def _scalar_chunk(cfg: ExperimentConfig, ts: range, rngs, ends) -> list[dict]:
+    """Trial records of one budgeted chunk of random scalar trials, each
+    drawn from the next generator of `rngs` (its stream 0) into one row of
+    a trial-major array, with its family rows in `ends`."""
+    n = 1 << cfg.resolution
+    rows = np.empty((len(ts), n))
+    for k in range(len(ts)):
+        rows[k] = _draw_cells(next(rngs), (n,), cfg.policy)
+    return _scalar_records(cfg, ts, [cfg.policy] * len(ts), rows, ends)
+
+
 def run_scalar_lpr(cfg: ExperimentConfig) -> RatioReport:
     """Square function of interval projections against the plain L^p norm.
 
     Asserts ratio <= 1 at p = 2 (orthogonality); for p != 2 the ratio is
     reported only (and for p < 2 the run is explicitly report-only, the
-    inequality being false in general there).
+    inequality being false in general there).  The probes, if any, are the
+    first trials, scored in budgeted chunks with their families padded by
+    empty rows, which project to an exact zero; the random trials follow
+    (`_scalar_chunk`).
     """
     _check_family_fits(cfg.resolution, cfg.count, cfg.family)
-    probes = _scalar_probes(cfg.resolution) if cfg.probes else []
-    chunk = partial(_scalar_chunk, probes=probes)
-    trials = _chunked_trials(cfg, chunk, (0,), 1 << cfg.resolution, start=len(probes))
+    n = 1 << cfg.resolution
+    probes = _scalar_probes(cfg.resolution)[: cfg.trials] if cfg.probes else []
+    trials = []
+    for sl in column_chunks(len(probes), n):
+        cases, values, families = zip(*probes[sl])
+        ends = np.zeros((len(cases), max(map(len, families)), 2), dtype=np.int64)
+        for row, family in zip(ends, families):
+            row[: len(family)] = family
+        trials += _scalar_records(cfg, range(sl.start, sl.stop), cases, np.stack(values), ends)
+    trials += _chunked_trials(cfg, _scalar_chunk, (0,), n, start=len(probes))
     worst = _worst(rec["ratio"] for rec in trials)
     if cfg.p == 2:
         checks = [_bounded("ratio<=1 at p=2", worst, 1.0)]

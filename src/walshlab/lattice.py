@@ -4,12 +4,14 @@ Values live in l^q(d): d coordinates with the coordinatewise order and the
 q-norm (max for q = inf).  A lattice-valued grid function is a (2**N, d)
 array of cell values.  On top of that this module provides
 
-* the mixed norms: L^p of the lattice norm, and the L^p norm of a
-  Rademacher sum (exact sign enumeration up to 20 components, seeded Monte
-  Carlo beyond).  Exact sign sums are built by doubling, and every lattice
-  norm adds its coordinates in the order of numpy's sum along a contiguous
-  axis, whatever the memory layout.  The Rademacher norm is one kernel on
-  an (S, cells, d) stack in any layout (`rad_norm_stack`);
+* the mixed norms, cell by cell: the lattice norm (`lattice_norm`), and
+  the L^p norm of a Rademacher sum (exact sign enumeration up to 20
+  components, seeded Monte Carlo beyond); `root_means` over the cells
+  turns either into an L^p norm in x.  Exact sign sums are built by
+  doubling, and every lattice norm adds its coordinates in the order of
+  numpy's sum along a contiguous axis, whatever the memory layout.  The
+  Rademacher norm is one kernel on an (S, cells, d) stack in any layout
+  (`rad_norm_stack`), and `rad_norm_values` runs it on one family;
 * the segment transform pair: component s of the forward map is the sum of
   martingale differences of w_{a_s} * f over the anchor level 0 and the
   left-piece levels of interval s, so that modulating back by w_{a_s}
@@ -195,16 +197,6 @@ class LatticeFunction:
             )
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-
-def lp_x_norm(f: LatticeFunction, p: float) -> float:
-    """L^p norm of the pointwise lattice norm (cell max for p = inf)."""
-    norms = f.norm_values()
-    if p == np.inf:
-        return float(norms.max())
-    if not p >= 1:  # refuses NaN too
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    return float(root_means(norms[None], p, p)[0])
 
 
 def _exact_sign_block(count: int, start: int, stop: int) -> np.ndarray:
@@ -417,21 +409,17 @@ def rad_norm_values(
     seed=None,
 ) -> np.ndarray:
     """Per-cell L^p Rademacher-average norms of a component family: `p` and
-    the components are checked, then stacked for `rad_norm_stack`."""
+    the components are checked, then stacked for `rad_norm_stack`.
+
+    The per-trial reference of `rad_norm_stack`: tests/test_signs.py
+    (`assert_kernel_on_views`, e.g. in
+    test_rad_norm_values_fold_coordinates_and_redo_cells) pins the kernel
+    bitwise against it on the strided views of chunk stacks that `vector`
+    and `weak11` pass it.
+    """
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
     return rad_norm_stack(_stacked(components), components[0].q, p, mode, seed)
-
-
-def lp_radx_norm(
-    components: Sequence[LatticeFunction],
-    p: float,
-    mode: str = "exact",
-    seed=None,
-) -> float:
-    """L^p norm in x of the cellwise Rademacher-average norm."""
-    cell_norms = rad_norm_values(components, p, mode, seed)
-    return float(root_means(cell_norms[None], p, p)[0])
 
 
 def _pairings(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -469,7 +457,13 @@ def _sign_averaged_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def duality_pairing(f: LatticeFunction, g: LatticeFunction) -> float:
-    """Integral over [0,1) of the coordinatewise dot product."""
+    """Integral over [0,1) of the coordinatewise dot product.
+
+    The per-trial reference of `_pairings`, which `adjoint` runs on its
+    chunk stacks: tests/test_batched.py::test_adjoint_matches_per_trial
+    takes each trial's pairing from this function, and the reports must
+    agree byte for byte.
+    """
     f._check_compatible(g)
     return float(_pairings(f.values, g.values))
 
@@ -492,6 +486,9 @@ def segment_transform(
     Component s collects the martingale differences of w_{a_s} * f over the
     anchor level 0 and the left-piece levels; multiplied back by w_{a_s} it
     is the spectral projection of f onto the segment {a_s} u (left pieces).
+    The per-trial reference of `_segment_columns`, which
+    tests/test_batched.py::test_segment_fronts_match_per_interval_reference
+    pins against it bitwise on a stack of several trials.
     """
     anchors, masks = _family_arrays(decomps, f.resolution)
     comps = _segment_columns(f.values[:, None], anchors, masks, np.zeros_like(anchors))
@@ -517,7 +514,9 @@ def segment_transform_adjoint(
 
     Sums w_{a_s} times the same block-restricted martingale differences of
     component s.  Exact adjoint of `segment_transform` for the sign-averaged
-    coordinatewise pairing.
+    coordinatewise pairing.  The per-trial reference of `_adjoint_of_stack`,
+    which tests/test_batched.py::test_segment_fronts_match_per_interval_reference
+    pins against it bitwise on a stack of several trials.
     """
     if len(components) != len(decomps):
         raise ValueError(

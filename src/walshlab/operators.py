@@ -39,8 +39,10 @@ the dyadic cells of levels 0..N only, which loses nothing because the
 functions are cell-constant at level N.  Tree sweeps run bottom-up with
 pairwise sums, so a sharp/maximal evaluation costs O(2**N * (N + S)).
 
-Each functional is one kernel on a cells-first stack, and the SeqFunction /
-DyadicFunction functions call it on one trial.  `sharp_maximal_stack` and
+Each functional is one kernel on a cells-first stack.  `sharp_maximal`,
+`rms_maximal` and `square_function` run their kernel on one trial's
+SeqFunction or DyadicFunction; the maximal function, which only the rms
+kernel calls, has no one-trial function.  `sharp_maximal_stack` and
 `square_function_stack` take a (cells, S, ...) stack, so a SeqFunction,
 stored (S, cells), is passed transposed; `maximal_function_stack` and
 `rms_maximal_stack` take a (cells, ...) stack.  Trailing axes carry trials
@@ -86,16 +88,6 @@ class SeqFunction:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_components(cls, components: Sequence[DyadicFunction]) -> "SeqFunction":
-        if not components:
-            raise ValueError("need at least one component")
-        res = components[0].resolution
-        for g in components[1:]:
-            if g.resolution != res:
-                raise ResolutionError("components live on different grids")
-        return cls(res, np.stack([g.values for g in components]))
 
 
 def _levels_mask(levels: Iterable[int], resolution: int) -> int:
@@ -360,11 +352,6 @@ def sharp_maximal(g: SeqFunction) -> DyadicFunction:
     return DyadicFunction(g.resolution, sharp_maximal_stack(g.values.T))
 
 
-def maximal_function(f: DyadicFunction) -> DyadicFunction:
-    """Dyadic Hardy-Littlewood maximal function: sup of cell averages of |f|."""
-    return DyadicFunction(f.resolution, maximal_function_stack(f.values))
-
-
 def rms_maximal(f: DyadicFunction) -> DyadicFunction:
     """Root-mean-square maximal function: sup of (cell average of f**2)**(1/2).
 
@@ -376,6 +363,9 @@ def rms_maximal(f: DyadicFunction) -> DyadicFunction:
 def square_function(g: SeqFunction) -> DyadicFunction:
     """Martingale square function over levels 1..N, summed across components.
 
-    The level-0 term (the mean) is deliberately excluded.
+    The level-0 term (the mean) is deliberately excluded.  The per-trial
+    reference of `square_function_stack`, which
+    tests/test_cell_sums.py::test_stack_kernels_match_each_trial pins
+    against it bitwise, trial by trial.
     """
     return DyadicFunction(g.resolution, square_function_stack(g.values.T))

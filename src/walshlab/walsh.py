@@ -20,14 +20,14 @@ Conventions baked in here:
   copy in natural order.  ``analyze_values`` gathers the input in
   bit-reversed index order and runs it on that copy; ``synthesize_values``
   is ``fwht`` followed by a gather of its output in bit-reversed order.
-* Every synthesis runs one private helper on a buffer its caller owns,
-  pruned to the hull [lo, hi) of the kept coefficients: a block of 4h rows
-  that misses the hull is +0.0 and stays +0.0, so each fused pass skips it,
-  bitwise.  The helper leaves the cells in bit-reversed order, and each
-  caller gathers once, after its last pointwise step: ``synthesize_values``
-  (full range) and the forward block sums at once, a fold of many
-  syntheses (the square fold, the block-sum adjoint) after it has added
-  them.
+* Every batched synthesis runs one private helper on a buffer its caller
+  owns, pruned to the hull [lo, hi) of the kept coefficients: a block of
+  4h rows that misses the hull is +0.0 and stays +0.0, so each fused pass
+  skips it, bitwise, and the result is that of ``fwht``.  The helper
+  leaves the cells in bit-reversed order, and each caller gathers once,
+  after its last pointwise step: the forward block sums at once, a fold of
+  many syntheses (the square fold, the block-sum adjoint) after it has
+  added them.
 * All operations require operands on a common grid and reject mismatches
   (ResolutionError) rather than resampling silently.
 * Many functions are transformed at once by stacking them along trailing
@@ -196,7 +196,11 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
     out[n] = sum_j values[j] * (-1)**popcount(j & n).  Self-inverse up to the
     factor 2**N.  Accepts trailing axes and transforms each column; `values`
-    is copied, never modified.
+    is copied, never modified.  `synthesize_values` gathers its output in
+    bit-reversed order.  It is also the unpruned reference of the pruned
+    synthesis kernel `_synthesize_owned`, which
+    tests/test_spectral_gather.py::test_pruned_synthesis_is_bitwise_full_synthesis
+    pins against it bitwise.
     """
     a = np.array(values, dtype=float, order="C")
     _check_length(a.shape[0])
@@ -258,11 +262,10 @@ def _synthesize_owned(kept: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def synthesize_values(coeffs: np.ndarray) -> np.ndarray:
-    """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0)."""
-    a = np.array(coeffs, dtype=float, order="C")
-    n = a.shape[0]
-    _check_length(n)
-    return _synthesize_owned(a, 0, n)[bit_reversal(n.bit_length() - 1)]
+    """Cell values sum_n coeffs[n] * w_n of Paley-ordered coefficients (axis 0):
+    `fwht(coeffs)` gathered in bit-reversed order."""
+    a = fwht(coeffs)
+    return a[bit_reversal(a.shape[0].bit_length() - 1)]
 
 
 def _index_mask(indices, resolution: int) -> np.ndarray:

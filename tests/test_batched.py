@@ -33,10 +33,11 @@ from walshlab.experiments import (
 from walshlab.intervals import decompose, family_decompose, left_level_masks
 from walshlab.lattice import (
     LatticeFunction,
+    _adjoint_of_stack,
+    _segment_columns,
     duality_pairing,
-    lp_radx_norm,
-    lp_x_norm,
     rad_norm_values,
+    root_means,
     segment_transform,
     segment_transform_adjoint,
     split_at_cells,
@@ -44,6 +45,7 @@ from walshlab.lattice import (
 )
 from walshlab.operators import (
     SeqFunction,
+    _family_arrays,
     block_sum,
     block_sum_family,
     block_sum_stack,
@@ -73,6 +75,11 @@ def budget(request, monkeypatch):
 
 def _lp(values, p):
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+
+
+def _lp_x(f, p):
+    """L^p norm in x of the pointwise lattice norm of one lattice function."""
+    return float(root_means(f.norm_values()[None], p, p)[0])
 
 
 def _ratio(lhs, rhs):
@@ -175,8 +182,8 @@ def reference_lemma(cfg):
             comps.append(values)
         stack = np.stack(comps)  # (S, cells, d)
         sq = [square_function(SeqFunction(n, stack[:, :, c])).values for c in range(cfg.dim)]
-        lhs = lp_x_norm(LatticeFunction(n, np.stack(sq, axis=1), cfg.q), cfg.p)
-        rhs = lp_x_norm(LatticeFunction(n, np.sqrt((stack**2).sum(axis=0)), cfg.q), cfg.p)
+        lhs = _lp_x(LatticeFunction(n, np.stack(sq, axis=1), cfg.q), cfg.p)
+        rhs = _lp_x(LatticeFunction(n, np.sqrt((stack**2).sum(axis=0)), cfg.q), cfg.p)
         trials.append({"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)})
     worst = max([0.0] + [rec["ratio"] for rec in trials])
     contracts = cfg.dim == 1 and cfg.p == 2 and cfg.mean_zero
@@ -196,8 +203,9 @@ def reference_vector(cfg):
             kept = np.zeros_like(coeffs)
             kept[iv.lo : iv.hi] = coeffs[iv.lo : iv.hi]
             comps.append(LatticeFunction(n, synthesize_values(kept), cfg.q))
-        lhs = lp_radx_norm(comps, cfg.p, cfg.rad, seed=[cfg.seed, t, 2])
-        rhs = lp_x_norm(f, cfg.p)
+        cell_norms = rad_norm_values(comps, cfg.p, cfg.rad, seed=[cfg.seed, t, 2])
+        lhs = float(root_means(cell_norms[None], cfg.p, cfg.p)[0])
+        rhs = _lp_x(f, cfg.p)
         rec = {"trial": t, "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)}
         if cfg.dim == 1:
             column = DyadicFunction(n, f.values[:, 0])
@@ -345,7 +353,7 @@ def reference_basis_sweep(resolution, max_intervals, spot_checks, seed):
         capture[(a, b)] = row
     sharp_tab = np.zeros(n + 1)
     for m in range(n):
-        g = SeqFunction.from_components([walsh_eval(m, resolution)])
+        g = SeqFunction(resolution, walsh_eval(m, resolution).values[None])
         sharp_tab[m + 1] = float(sharp_maximal(g).values.max())
     by_start = [[] for _ in range(n + 1)]
     for a, b in ivs:
@@ -433,6 +441,15 @@ def test_scalar_matches_per_trial(budget, resolution, p, probes):
     _same_report(cfg, reference_scalar)
 
 
+@pytest.mark.parametrize("trials", [1, 4, 7])
+def test_scalar_probes_stop_at_the_trial_count(budget, trials):
+    # fewer trials than the 6 probes score only the first ones, which a
+    # budget of three columns splits across two chunks at 4 trials
+    budget(1 << 3)
+    cfg = ExperimentConfig(kind="scalar", resolution=3, trials=trials, seed=11, p=4.0, count=3)
+    _same_report(cfg, reference_scalar)
+
+
 @pytest.mark.parametrize("resolution", sorted(TRIALS))
 def test_pointwise_matches_per_trial(budget, resolution):
     budget(1 << resolution)
@@ -510,9 +527,9 @@ def test_lemma_matches_per_trial(budget, resolution, dim, p, q, components, mean
 @pytest.mark.parametrize("step", [None, 3])
 @pytest.mark.parametrize("kind", sorted(ex.RUNNERS))
 def test_reports_do_not_depend_on_the_seed_batch(monkeypatch, kind, step):
-    # 21 trials in seed batches of 1, 5 and 256 trials: with 5 the scalar
-    # run's first batch holds only probes (it has 6) and draws no trial; a
-    # chunk step of 3 divides neither 5 nor 256
+    # 21 trials in seed batches of 1, 5 and 256 trials: the scalar run's
+    # batches start after its 6 probes, at trial 6; a chunk step of 3
+    # divides neither 5 nor 256
     cfg = ExperimentConfig(
         kind=kind, resolution=3, trials=21, seed=7, p=4.0, dim=2, count=3, components=3,
     )
@@ -592,7 +609,7 @@ def test_lp_x_rows_match_per_trial_lp_x_norm(dim, q):
     lemma = np.ascontiguousarray(values.transpose(0, 2, 1))
     for p in (1.0, 2.0, 4.0):
         cfg = ExperimentConfig(kind="vector", resolution=resolution, dim=dim, q=q, p=p)
-        want = [lp_x_norm(LatticeFunction(resolution, values[:, t], q), p) for t in range(trials)]
+        want = [_lp_x(LatticeFunction(resolution, values[:, t], q), p) for t in range(trials)]
         for rows in (values.swapaxes(0, 1), lemma.transpose(2, 0, 1)):
             got = ex._lp_x_rows(rows, cfg)
             assert np.array(got).tobytes() == np.array(want).tobytes(), p
@@ -728,8 +745,11 @@ SEGMENT_CASES = [
 
 @pytest.mark.parametrize("resolution, dim, count", SEGMENT_CASES)
 def test_segment_fronts_match_per_interval_reference(budget, resolution, dim, count):
-    # the single-family fronts run the block-sum engine as a one-trial stack
+    # the single-family fronts run the block-sum engine as a one-trial stack;
+    # the owner-aware kernels the campaigns call on a stack of the three
+    # families must give each family's columns the bits of its fronts
     budget(dim << resolution)
+    fs, gs_stacks, families, fronts = [], [], [], []
     for seed in (22, 23, 24):
         decs = family_decompose(ex.random_interval_family((seed, 0, 1), resolution, count))
         f, *gs = [
@@ -742,6 +762,18 @@ def test_segment_fronts_match_per_interval_reference(budget, resolution, dim, co
             assert got.values.tobytes() == want.values.tobytes()
         adjoint = segment_transform_adjoint(gs, decs).values
         assert adjoint.tobytes() == _adjoint(gs, decs).values.tobytes()
+        fs.append(f.values)
+        gs_stacks.append(np.stack([g.values for g in gs], axis=1))
+        families.append(_family_arrays(decs, resolution))
+        fronts.append((forward, adjoint))
+    anchors, masks = (np.concatenate(arrays) for arrays in zip(*families))
+    owners = np.repeat(np.arange(len(fronts)), count)
+    columns = _segment_columns(np.stack(fs, axis=1), anchors, masks, owners)
+    sums = _adjoint_of_stack(np.concatenate(gs_stacks, axis=1), anchors, masks, owners)
+    for k, (forward, adjoint) in enumerate(fronts):
+        for s, comp in enumerate(forward):
+            assert columns[:, k * count + s].tobytes() == comp.values.tobytes()
+        assert sums[:, k].tobytes() == adjoint.tobytes()
 
 
 def test_large_grid_streams_one_column():

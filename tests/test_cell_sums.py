@@ -22,7 +22,6 @@ from walshlab.lattice import (
 )
 from walshlab.operators import (
     SeqFunction,
-    maximal_function,
     maximal_function_stack,
     rms_maximal,
     rms_maximal_stack,
@@ -249,7 +248,7 @@ def test_sequence_operators_match_reference(components, resolution):
 def test_scalar_maximal_functions_match_reference(components, resolution):
     for row in _stack(components, resolution):
         f = DyadicFunction(resolution, row)
-        np.testing.assert_array_equal(maximal_function(f).values, ref_maximal_function(f))
+        np.testing.assert_array_equal(maximal_function_stack(f.values), ref_maximal_function(f))
         np.testing.assert_array_equal(rms_maximal(f).values, ref_rms_maximal(f))
 
 
@@ -272,7 +271,7 @@ def test_stack_kernels_match_each_trial(components, resolution, trials):
             f = DyadicFunction(resolution, stack[:, 0, t])
             np.testing.assert_array_equal(sharp[:, t], sharp_maximal(g).values)
             np.testing.assert_array_equal(square[:, t], square_function(g).values)
-            np.testing.assert_array_equal(maximal[:, t], maximal_function(f).values)
+            np.testing.assert_array_equal(maximal[:, t], maximal_function_stack(f.values))
             np.testing.assert_array_equal(rms[:, t], rms_maximal(f).values)
 
 

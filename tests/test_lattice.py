@@ -10,8 +10,6 @@ from walshlab.lattice import (
     cz_decompose,
     duality_pairing,
     lattice_norm,
-    lp_radx_norm,
-    lp_x_norm,
     rad_norm_values,
     root_means,
     segment_transform,
@@ -40,6 +38,16 @@ def rad_of_points(coords, p, mode="exact", seed=None):
     one cell of `rad_norm_values` over resolution-0 components."""
     comps = [LatticeFunction(0, [row], 2.0) for row in np.atleast_2d(coords)]
     return float(rad_norm_values(comps, p, mode, seed)[0])
+
+
+def lp_x(f, p):
+    """L^p norm in x of the pointwise lattice norm: `root_means` of the cell norms."""
+    return float(root_means(f.norm_values()[None], p, p)[0])
+
+
+def lp_radx(components, p):
+    """L^p norm in x of the cellwise Rademacher norm of a family."""
+    return float(root_means(rad_norm_values(components, p)[None], p, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +84,18 @@ def test_lattice_norms_redo_cells_out_of_float_range(q):
 
 def test_lp_x_norm_examples():
     f = LatticeFunction(3, np.tile([3.0, 4.0], (8, 1)), 2)
-    assert lp_x_norm(f, 2) == pytest.approx(5.0)
-    assert lp_x_norm(f, np.inf) == pytest.approx(5.0)
+    assert lp_x(f, 2) == pytest.approx(5.0)
     scalar = random_lattice(5, 1, seed=1)
     d1 = scalar.values[:, 0]
     for p in (1, 2, 4):
         expected = np.mean(np.abs(d1) ** p) ** (1.0 / p)
-        assert lp_x_norm(scalar, p) == pytest.approx(expected, abs=1e-12)
+        assert lp_x(scalar, p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_lp_x_norm_monotone_in_p():
     f = random_lattice(6, 3, seed=2)
-    norms = [lp_x_norm(f, p) for p in (1, 2, 4, 8)]
+    norms = [lp_x(f, p) for p in (1, 2, 4, 8)]
     assert norms == sorted(norms)
-    with pytest.raises(ValueError):
-        lp_x_norm(f, 0.5)
 
 
 def test_two_convexity_regimes():
@@ -152,14 +157,11 @@ def test_rad_norm_exact_limit_and_mc():
 def test_norms_refuse_nan_exponents():
     with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
         lattice_norm(np.array([[3.0, 4.0]]), np.nan)
-    f = random_lattice(3, 2, seed=6)
-    with pytest.raises(ValueError, match="exponent must be >= 1, got nan"):
-        lp_x_norm(f, np.nan)
-    nan_q = LatticeFunction(3, f.values, np.nan)
+    nan_q = LatticeFunction(3, random_lattice(3, 2, seed=6).values, np.nan)
     with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
-        lp_x_norm(nan_q, 2.0)
+        nan_q.norm_values()
     with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
-        lp_radx_norm([nan_q], 2.0)
+        rad_norm_values([nan_q], 2.0)
 
 
 def test_families_refuse_nan_exponents():
@@ -167,23 +169,23 @@ def test_families_refuse_nan_exponents():
     g = LatticeFunction(3, random_lattice(3, 2, seed=7).values, np.nan)
     decs = family_decompose([IntInterval(1, 3), IntInterval(4, 8)])
     with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
-        lp_radx_norm([g, g], 2.0)
+        rad_norm_values([g, g], 2.0)
     with pytest.raises(ValueError, match="lattice exponent must be >= 1, got nan"):
         segment_transform_adjoint([g, g], decs)
 
 
 def test_lp_radx_norm_examples():
     f = random_lattice(5, 3, seed=5)
-    assert lp_radx_norm([f], 4) == pytest.approx(lp_x_norm(f, 4), abs=1e-10)
+    assert lp_radx([f], 4) == pytest.approx(lp_x(f, 4), abs=1e-10)
     # d = 1, p = 2: orthogonality of signs gives the l2 sum of L2 norms
     comps = [random_lattice(5, 1, seed=10 + s) for s in range(4)]
-    lhs = lp_radx_norm(comps, 2)
-    rhs = np.sqrt(sum(lp_x_norm(c, 2) ** 2 for c in comps))
+    lhs = lp_radx(comps, 2)
+    rhs = np.sqrt(sum(lp_x(c, 2) ** 2 for c in comps))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 @pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("norm", [rad_norm_values, lp_radx_norm])
+@pytest.mark.parametrize("norm", [rad_norm_values])
 def test_rad_norms_refuse_non_finite_exponent(norm, p):
     comps = [random_lattice(3, 2, seed=30 + s) for s in range(3)]
     with pytest.raises(ValueError, match="finite"):
@@ -261,9 +263,7 @@ def test_kahane_contraction_equality_for_unimodular_multipliers():
         for s, c in enumerate(comps)
     ]
     for p in (2, 3):
-        assert lp_radx_norm(twisted, p) == pytest.approx(
-            lp_radx_norm(comps, p), abs=1e-10
-        )
+        assert lp_radx(twisted, p) == pytest.approx(lp_radx(comps, p), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

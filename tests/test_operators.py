@@ -7,7 +7,7 @@ from walshlab.operators import (
     SeqFunction,
     block_sum,
     block_sum_family,
-    maximal_function,
+    maximal_function_stack,
     rms_maximal,
     sharp_maximal,
     square_function,
@@ -117,11 +117,11 @@ def test_sharp_maximal_examples():
     np.testing.assert_allclose(
         sharp_maximal(SeqFunction(5, np.full((3, 32), 2.0))).values, 0.0, atol=1e-12
     )
-    g = SeqFunction.from_components([walsh_eval(1, 5)])
+    g = SeqFunction(5, walsh_eval(1, 5).values[None])
     np.testing.assert_allclose(sharp_maximal(g).values, 1.0, atol=1e-12)
     # a single basis function from any block oscillates with unit rms
     for n in (2, 5, 11, 19):
-        g = SeqFunction.from_components([walsh_eval(n, 5)])
+        g = SeqFunction(5, walsh_eval(n, 5).values[None])
         np.testing.assert_allclose(sharp_maximal(g).values, 1.0, atol=1e-12)
 
 
@@ -143,21 +143,19 @@ def test_mean_minimizes_oscillation():
 
 
 def test_maximal_examples():
+    np.testing.assert_allclose(maximal_function_stack(np.full(16, -2.0)), 2.0, atol=1e-15)
     np.testing.assert_allclose(
-        maximal_function(DyadicFunction.constant(-2.0, 4)).values, 2.0, atol=1e-15
-    )
-    f = DyadicFunction(2, [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(
-        maximal_function(f).values, [1.0, 0.5, 0.25, 0.25], atol=1e-15
+        maximal_function_stack(np.array([1.0, 0.0, 0.0, 0.0])), [1.0, 0.5, 0.25, 0.25],
+        atol=1e-15,
     )
     g = random_f(6, seed=9)
-    assert (maximal_function(g).values >= np.abs(g.values) - 1e-12).all()
+    assert (maximal_function_stack(g.values) >= np.abs(g.values) - 1e-12).all()
 
 
 def test_maximal_matches_naive_sweep():
     f = random_f(6, seed=10)
     np.testing.assert_allclose(
-        maximal_function(f).values, naive_maximal(f.values, 6), atol=1e-12
+        maximal_function_stack(f.values), naive_maximal(f.values, 6), atol=1e-12
     )
 
 
@@ -170,19 +168,18 @@ def test_rms_maximal_examples():
         rms_maximal(f).values, [1.0, 1.0 / np.sqrt(2.0)], atol=1e-15
     )
     g = random_f(6, seed=11)
-    assert (rms_maximal(g).values >= maximal_function(g).values - 1e-12).all()
+    assert (rms_maximal(g).values >= maximal_function_stack(g.values) - 1e-12).all()
 
 
 def test_rms_maximal_is_sqrt_of_maximal_of_square():
     g = random_f(7, seed=12)
-    squared = DyadicFunction(7, g.values**2)
     np.testing.assert_array_equal(
-        rms_maximal(g).values, np.sqrt(maximal_function(squared).values)
+        rms_maximal(g).values, np.sqrt(maximal_function_stack(g.values**2))
     )
 
 
 def test_square_function_examples():
-    g = SeqFunction.from_components([walsh_eval(11, 6)])
+    g = SeqFunction(6, walsh_eval(11, 6).values[None])
     np.testing.assert_allclose(square_function(g).values, 1.0, atol=1e-12)
     const = SeqFunction(6, np.full((2, 64), 5.0))
     np.testing.assert_allclose(square_function(const).values, 0.0, atol=1e-12)
@@ -235,9 +232,9 @@ def test_mean_truncation_drops_fine_levels():
 
 
 def test_seqfunction_validation():
-    with pytest.raises(ResolutionError):
-        SeqFunction.from_components([random_f(4), random_f(5)])
-    with pytest.raises(ValueError):
-        SeqFunction.from_components([])
+    with pytest.raises(ValueError, match=r"expected shape \(S, 16\)"):
+        SeqFunction(4, np.zeros((2, 32)))
+    with pytest.raises(ValueError, match=r"expected shape \(S, 16\)"):
+        SeqFunction(4, np.zeros(16))
     with pytest.raises(ResolutionError):
         block_sum(random_f(4), 3, {5})

@@ -18,7 +18,7 @@ from walshlab.walsh import (
     synthesize_values,
     walsh_eval,
 )
-from walshlab.lattice import LatticeFunction, lp_x_norm
+from walshlab.lattice import LatticeFunction, root_means
 
 
 def walsh_by_sines(n, resolution):
@@ -264,12 +264,9 @@ def test_norm_and_integral():
     f = DyadicFunction(1, [3.0, -1.0])
     assert f.integral() == pytest.approx(1.0)
     # the L^p norms of a scalar function are those of its d = 1 lattice form
-    f1 = LatticeFunction(1, f.values[:, None], 2.0)
-    assert lp_x_norm(f1, 1) == pytest.approx(2.0)
-    assert lp_x_norm(f1, 2) == pytest.approx(np.sqrt(5.0))
-    assert lp_x_norm(f1, np.inf) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        lp_x_norm(f1, 0.5)
+    norms = LatticeFunction(1, f.values[:, None], 2.0).norm_values()[None]
+    assert root_means(norms, 1, 1)[0] == pytest.approx(2.0)
+    assert root_means(norms, 2, 2)[0] == pytest.approx(np.sqrt(5.0))
 
 
 def radix2_fwht(values):
