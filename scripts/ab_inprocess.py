@@ -15,8 +15,10 @@ timestamp left out.  A config of kind "basis" holds the arguments of
 "resolution": 5, "max_intervals": 2, "spot_checks": 200}, and its two
 reports are compared as `json.dumps(..., sort_keys=True)`.  Then the two
 trees run it alternately, the first side switching every round, and the
-script prints the median CPU time
-(`time.process_time`) of each side and their ratio, change over base.
+script prints the median CPU time (`time.process_time`) of each side and
+their ratio, change over base, then the same for the wall time
+(`time.perf_counter`).  CPU time sums every thread of the process, so a
+kernel that runs on several cores reads faster in wall time alone.
 
 One process sees one heap, one set of imported libraries and one host
 load, so this tells a change in the code's own cost from the offsets a
@@ -76,11 +78,12 @@ def report_text(experiments, config: dict) -> str:
     return experiments.report_json_lines(report, timestamp="")
 
 
-def timed(experiments, config: dict) -> float:
+def timed(experiments, config: dict) -> tuple[float, float]:
+    """CPU and wall seconds of one run of `config`."""
     gc.collect()
-    start = time.process_time()
+    cpu, wall = time.process_time(), time.perf_counter()
     run(experiments, config)
-    return time.process_time() - start
+    return time.process_time() - cpu, time.perf_counter() - wall
 
 
 def main(argv=None) -> int:
@@ -108,7 +111,10 @@ def main(argv=None) -> int:
         ))
     width = max(map(len, labels))
     identical = True
-    print(f"{'config (fields off their defaults)':{width}s}    base_s  change_s   ratio")
+    print(
+        f"{'config (fields off their defaults)':{width}s}    base_s  change_s   ratio"
+        "    base_wall  change_wall  wall_ratio"
+    )
     for config, label in zip(configs, labels):
         lines = {name: report_text(ex, config) for name, ex in sides.items()}
         if lines["base"] != lines["change"]:
@@ -120,8 +126,14 @@ def main(argv=None) -> int:
             order = ("base", "change") if r % 2 == 0 else ("change", "base")
             for name in order:
                 times[name].append(timed(sides[name], config))
-        base, change = (statistics.median(times[name]) for name in ("base", "change"))
-        print(f"{label:{width}s} {base:9.4f} {change:9.4f} {change / base:7.3f}")
+        cpu, wall = (
+            [statistics.median(t[i] for t in times[name]) for name in ("base", "change")]
+            for i in (0, 1)
+        )
+        print(
+            f"{label:{width}s} {cpu[0]:9.4f} {cpu[1]:9.4f} {cpu[1] / cpu[0]:7.3f}"
+            f" {wall[0]:12.4f} {wall[1]:12.4f} {wall[1] / wall[0]:11.3f}"
+        )
     return 0 if identical else 1
 
 

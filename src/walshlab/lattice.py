@@ -11,7 +11,12 @@ array of cell values.  On top of that this module provides
   doubling, and every lattice norm adds its coordinates in the order of
   numpy's sum along a contiguous axis, whatever the memory layout.  The
   Rademacher norm is one kernel on an (S, cells, d) stack in any layout
-  (`rad_norm_stack`), and `rad_norm_values` runs it on one family;
+  (`rad_norm_stack`), and `rad_norm_values` runs it on one family.  A
+  large call cuts its cells into slices of at least 2 cells and runs them
+  on a pool of threads beside the caller, up to one slice per CPU, each in
+  the caller's numpy error state; each cell's norm depends on that cell
+  alone, so the bits stay.  The pool is made on the first such call and
+  dropped in a forked child;
 * the segment transform pair: component s of the forward map is the sum of
   martingale differences of w_{a_s} * f over the anchor level 0 and the
   left-piece levels of interval s, so that modulating back by w_{a_s}
@@ -38,6 +43,8 @@ array of cell values.  On top of that this module provides
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -240,12 +247,14 @@ def _exact_sign_sums(part: np.ndarray, rows: range, out=None) -> np.ndarray:
 
 def _mc_samples(mode: str) -> int | None:
     """Sample count of a sign mode: None for 'exact', k for 'mc:<k>' with
-    1 <= k <= MC_SAMPLE_LIMIT."""
+    1 <= k <= MC_SAMPLE_LIMIT, written in ASCII digits alone (`int` would
+    also take a sign, underscores and blanks)."""
     if mode == "exact":
         return None
+    digits = mode[3:] if mode.startswith("mc:") else ""
     try:
-        samples = int(mode.split(":", 1)[1]) if mode.startswith("mc:") else 0
-    except ValueError:
+        samples = int(digits) if digits.isascii() and digits.isdigit() else 0
+    except ValueError:  # more digits than `int` converts
         samples = 0
     if samples < 1:
         raise ValueError(
@@ -322,6 +331,132 @@ def _stacked(components: Sequence[LatticeFunction]) -> np.ndarray:
     return np.stack([g.values for g in components])  # (S, cells, d)
 
 
+def _rad_over_signs(part, q, mode, seed, finish, reduce):
+    """`_sign_chunks` of the l^q norms of the signed sums at the cells of an
+    (S, cells, d) component stack, after `finish` has worked on each
+    block's norms in place."""
+    count, cells, dim = part.shape
+    coords = np.ascontiguousarray(part.transpose(0, 2, 1))  # (S, d, cells)
+    width = min(cells, max(1, _SIGN_SUM_BUDGET // dim))
+    fit = max(1, _SIGN_SUM_BUDGET // (dim * width))
+    step = 1 << (fit.bit_length() - 1)  # keeps exact blocks aligned
+
+    def signed_sums(rows, cols, out=None):  # (d, K, width) sums of a block of rows
+        if isinstance(rows, range) and cells * dim > 1:
+            return _exact_sign_sums(coords[:, :, cols], rows, out)
+        if isinstance(rows, range):
+            rows = _exact_sign_block(count, rows.start, rows.stop)
+        return np.einsum("ks,sdc->dkc", rows, coords[:, :, cols])
+
+    def row_values(block, spare=0):
+        norms = np.empty((len(block) + spare, cells))
+        for lo in range(0, len(block), step):
+            for c in range(0, cells, width):
+                rows, cols = block[lo : lo + step], slice(c, c + width)
+                target = norms[lo : lo + len(rows), cols]
+                # at d = 1 exact sums are made in place of their norms
+                size = signed_sums(rows, cols, target[None] if dim == 1 else None)
+                np.abs(size, out=size)
+                _fold_norms(size, q, target, lambda: signed_sums(rows, cols))
+        finish(norms[: len(block)])
+        return norms
+
+    return _sign_chunks(count, mode, seed, row_values, reduce)
+
+
+def _rad_mean_powers(part, q, p, mode, seed, scale=None):
+    """Per-cell mean over the sign rows of (norm / scale) ** p, for an
+    (S, cells, d) component stack; the kernel that `rad_norm_stack` runs on
+    each slice of cells."""
+
+    def powers(norms):
+        if scale is not None:
+            norms /= scale
+        norms **= p
+
+    partials, total = _rad_over_signs(
+        part, q, mode, seed, powers, lambda vals: vals.sum(axis=0)
+    )
+    acc = np.zeros(part.shape[1])
+    for partial in partials:
+        acc += partial
+    return acc / total
+
+
+# Work (sign rows * cells * d) of a `rad_norm_stack` call from which its
+# cells are split across threads, and the fewest cells a slice keeps.
+# Measured split over serial on 2 cores, exact and mc rows, d = 1..64:
+# 0.93-3.2x at 2^14-2^17 work (slower on 7 of 9 shapes), where the hand-offs
+# of the GIL cost more than the arithmetic they overlap; 0.60-0.99 at 2^18
+# and 0.49-0.74 at 2^19-2^21 (`rad-exact` is 2^20: 12 components, 64
+# cells, d = 4).
+# Slices of 2-8 cells ran 0.93-1.6x at 2^19-2^20: the (d, rows, cells)
+# sums then loop over too short an axis.  A slice of one cell would also
+# change the bits: its sum over rows goes pairwise, and at d = 1 through
+# `einsum`.
+_SPLIT_WORK = 1 << 18
+_SLICE_CELLS = 16
+# (slices, executor) of the cell split: the most slices a call is cut into,
+# one per CPU this process may run on, and the threads that run all but the
+# caller's slice (None with one CPU).  Made on the first split, dropped in a
+# forked child, whose copy would count threads that it does not have.
+_pool = None
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cell_pool():
+    global _pool
+    if _pool is None:
+        slices = len(os.sched_getaffinity(0))
+        executor = None
+        if slices > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(slices - 1, thread_name_prefix="walshlab-cells")
+        _pool = (slices, executor)
+    return _pool
+
+
+def _split_mean_powers(stacked, q, p, mode, seed, rows):
+    """`_rad_mean_powers` of the whole stack, its cells cut into contiguous
+    slices that run at once: the caller runs the first, the pool's threads
+    the others, each in a copy of the caller's context, so that numpy's
+    error state (a context variable) holds there too.  Each cell's result
+    depends on its own components alone, so the slices give the bits of one
+    call while each keeps at least 2 cells.  Calls under `_SPLIT_WORK`, or
+    with too few cells for two slices of `_SLICE_CELLS`, run whole."""
+    _, cells, dim = stacked.shape
+    slices = 1
+    if rows * cells * dim >= _SPLIT_WORK and cells >= 2 * _SLICE_CELLS:
+        slices, executor = _cell_pool()
+        slices = min(slices, cells // _SLICE_CELLS)
+    if slices < 2:
+        return _rad_mean_powers(stacked, q, p, mode, seed)
+    from concurrent.futures import wait
+
+    edges = [k * cells // slices for k in range(slices + 1)]
+    futures = [
+        executor.submit(
+            contextvars.copy_context().run,
+            _rad_mean_powers, stacked[:, lo:hi], q, p, mode, seed,
+        )
+        for lo, hi in zip(edges[1:-1], edges[2:])
+    ]
+    try:
+        means = [_rad_mean_powers(stacked[:, : edges[1]], q, p, mode, seed)]
+    finally:
+        wait(futures)  # no slice outlives the call, whichever raised
+    means += [future.result() for future in futures]
+    return np.concatenate(means)
+
+
 def rad_norm_stack(stacked: np.ndarray, q: float, p: float, mode: str, seed) -> np.ndarray:
     """Per-cell L^p Rademacher-average l^q norms of an (S, cells, d) stack of
     components, in any memory layout; the kernel of `rad_norm_values`.
@@ -336,69 +471,35 @@ def rad_norm_stack(stacked: np.ndarray, q: float, p: float, mode: str, seed) -> 
     Once a block's sums would exceed `_SIGN_SUM_BUDGET` floats it is cut
     into power-of-two blocks of rows, and below one row into blocks of
     cells; a norm depends on no other row or cell, so the bits stay.  The
-    p-th powers add up one chunk at a time, in row order.
+    p-th powers add up one chunk at a time, in row order.  From
+    `_SPLIT_WORK` sign rows * cells * d on, the cells are cut into slices of
+    at least `_SLICE_CELLS` cells that run on several cores
+    (`_split_mean_powers`), with the same bits.
     A cell whose mean of powers overflows, or falls below the smallest normal
     float while its components are not all zero, is redone over the same sign
     rows as M * mean((norm / M) ** p) ** (1/p), with M its largest norm; every
-    other cell keeps its bits.  `q` and `p` are taken as checked.
+    other cell keeps its bits.  The redo runs on all such cells at once, in
+    the calling thread.  `q` and `p` are taken as checked.
     """
-    if seed is None and _mc_samples(mode) is not None:
+    rows = _mc_samples(mode)
+    if rows is None:
+        rows = 1 << len(stacked)
+    elif seed is None:
         seed = np.random.SeedSequence().entropy  # one sample for every pass
-
-    def over_signs(part, finish, reduce):
-        """`_sign_chunks` of the norms at the cells of a component stack, after
-        `finish` has worked on them in place."""
-        count, cells, dim = part.shape
-        coords = np.ascontiguousarray(part.transpose(0, 2, 1))  # (S, d, cells)
-        width = min(cells, max(1, _SIGN_SUM_BUDGET // dim))
-        fit = max(1, _SIGN_SUM_BUDGET // (dim * width))
-        step = 1 << (fit.bit_length() - 1)  # keeps exact blocks aligned
-
-        def signed_sums(rows, cols, out=None):  # (d, K, width) sums of a block of rows
-            if isinstance(rows, range) and cells * dim > 1:
-                return _exact_sign_sums(coords[:, :, cols], rows, out)
-            if isinstance(rows, range):
-                rows = _exact_sign_block(count, rows.start, rows.stop)
-            return np.einsum("ks,sdc->dkc", rows, coords[:, :, cols])
-
-        def row_values(block, spare=0):
-            norms = np.empty((len(block) + spare, cells))
-            for lo in range(0, len(block), step):
-                for c in range(0, cells, width):
-                    rows, cols = block[lo : lo + step], slice(c, c + width)
-                    target = norms[lo : lo + len(rows), cols]
-                    # at d = 1 exact sums are made in place of their norms
-                    size = signed_sums(rows, cols, target[None] if dim == 1 else None)
-                    np.abs(size, out=size)
-                    _fold_norms(size, q, target, lambda: signed_sums(rows, cols))
-            finish(norms[: len(block)])
-            return norms
-
-        return _sign_chunks(count, mode, seed, row_values, reduce)
-
-    def mean_powers(part, scale=None):
-        def powers(norms):
-            if scale is not None:
-                norms /= scale
-            norms **= p
-
-        partials, total = over_signs(part, powers, lambda vals: vals.sum(axis=0))
-        acc = np.zeros(part.shape[1])
-        for partial in partials:
-            acc += partial
-        return acc / total
-
     with np.errstate(over="ignore"):  # overflowed cells are redone below
-        means = mean_powers(stacked)
+        means = _split_mean_powers(stacked, q, p, mode, seed, rows)
     out = means ** (1.0 / p)
     redo = np.flatnonzero(np.isinf(means) | (means < _TINY))
     redo = redo[stacked[:, redo].any(axis=(0, 2))]  # all-zero cells stay 0
     if redo.size:
         part = stacked[:, redo]
-        partials, _ = over_signs(part, lambda norms: None, lambda vals: vals.max(axis=0))
+        partials, _ = _rad_over_signs(
+            part, q, mode, seed, lambda norms: None, lambda vals: vals.max(axis=0)
+        )
         top = np.maximum.reduce(partials)
         keep = (0 < top) & (top < np.inf)  # a Monte Carlo sample can cancel every sum
-        out[redo[keep]] = top[keep] * mean_powers(part[:, keep], top[keep]) ** (1.0 / p)
+        means = _rad_mean_powers(part[:, keep], q, p, mode, seed, top[keep])
+        out[redo[keep]] = top[keep] * means ** (1.0 / p)
     return out
 
 

@@ -18,6 +18,12 @@ def test_one_tree_against_itself_finds_identical_reports():
         cmd += ["--config", config]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    rows = done.stdout.splitlines()[1:]
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[-6:] == [
+        "base_s", "change_s", "ratio", "base_wall", "change_wall", "wall_ratio"
+    ]
     assert [row.split()[0] for row in rows] == ["kind=pointwise", "kind=basis"]
+    for row in rows:  # CPU, then wall: each side's median and their ratio
+        wall = [float(v) for v in row.split()[-3:]]
+        assert all(v > 0 for v in wall), row
     assert "DIFFER" not in done.stdout

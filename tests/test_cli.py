@@ -209,6 +209,10 @@ def test_unknown_command_rejected():
         ("lemma", "--components", str(10**12), "--resolution", "4", "--trials", "1"),
         ("pointwise", "--count", "65536", "--resolution", "16", "--family", "singletons",
          "--trials", "1"),
+        # sample counts are ASCII digits alone: no sign, underscore or blank
+        ("vector", "--rad", "mc:+5", "--resolution", "4", "--trials", "2"),
+        ("vector", "--rad", "mc:5_0", "--resolution", "4", "--trials", "2"),
+        ("vector", "--rad", "mc: 5", "--resolution", "4", "--trials", "2"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
